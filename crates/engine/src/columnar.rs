@@ -14,6 +14,11 @@
 //! * **probe loops read only the dense key/hash columns** — a delta tuple's
 //!   `Arc` is touched (cloned) only when a probe actually matches, so a
 //!   selective join's flush no longer scales with refcount traffic;
+//! * **the three loops that touch the slab — removal, probe, install — are
+//!   group-prefetched**: each hands its whole item column to
+//!   [`State::warm`](crate::state::State::warm) first, which prefetches
+//!   stage by stage the lines every item's operation will touch, and then
+//!   runs the unchanged single-item operation per item;
 //! * **window expiry is planned per batch, not per arrival**: when no
 //!   window pops interleave with the batch at all it commits as one bulk
 //!   segment; otherwise a read-only planner cuts the batch into maximal
@@ -42,15 +47,15 @@ use std::time::{Duration, Instant};
 
 use jisc_common::kernels::{eq_bitmap, hash_column};
 use jisc_common::{
-    BaseTuple, ColumnarBatch, FxHashMap, FxHashSet, JiscError, Key, Result, SelBitmap, SeqNo, Tuple,
+    hash_key, BaseTuple, ColumnarBatch, FxHashMap, FxHashSet, JiscError, Key, Result, SelBitmap,
+    SeqNo, Tuple,
 };
 
 use crate::ops::DefaultSemantics;
-use crate::pipeline::{
-    Pipeline, Semantics, DELTA_SCRATCH_CAP, INTRA_PAIR_KEYED_MIN, PREFETCH_DIST, PREFETCH_MIN_STATE,
-};
+use crate::pipeline::{Pipeline, Semantics, DELTA_SCRATCH_CAP, INTRA_PAIR_KEYED_MIN};
 use crate::plan::{OpKind, Payload, QueueItem};
 use crate::predicate::Predicate;
+use crate::slab::WarmDepth;
 use crate::spec::WindowSpec;
 
 /// Accumulated cost of one kernel: how often it ran, how many column
@@ -187,6 +192,9 @@ struct RemoveItem {
     stream: jisc_common::StreamId,
     seq: SeqNo,
     key: Key,
+    /// `hash_key(key)`: one hash addresses the key's group in every state
+    /// on the path to the root (all streams share the join attribute).
+    hash: u64,
 }
 
 /// Reusable scratch of the columnar path, owned by the pipeline so the
@@ -222,6 +230,8 @@ pub(crate) struct ColScratch {
     /// Per-node pending removal columns of the bulk retraction kernel,
     /// indexed by `NodeId`.
     retract: Vec<Vec<RemoveItem>>,
+    /// Per-item cursors of a kernel's warm-up stages ([`State::warm`]).
+    warm: Vec<u32>,
 }
 
 /// Result of the read-only clock/expiry planning pass.
@@ -608,6 +618,7 @@ impl Pipeline {
                     stream: old.stream,
                     seq: old.seq,
                     key: old.key,
+                    hash: hash_key(old.key),
                 });
             }
             self.retract_columnar(col);
@@ -651,6 +662,12 @@ impl Pipeline {
             let mut items = std::mem::take(&mut col.retract[id.0 as usize]);
             let parent = self.plan.node(id).parent;
             let is_scan = matches!(self.plan.node(id).op, OpKind::Scan(_));
+            self.plan.node(id).state.warm(
+                WarmDepth::Ring,
+                items.len(),
+                |i| (items[i].hash, items[i].key),
+                &mut col.warm,
+            );
             for it in &items {
                 let removed = self.state_remove_containing(id, it.stream, it.seq, it.key);
                 if is_scan || removed > 0 || self.plan.node(id).state.needs_completion(it.key) {
@@ -671,7 +688,12 @@ impl Pipeline {
     /// the root. Same phase discipline as the row path's `flush_run`, so
     /// JISC completion stays sound mid-batch.
     fn flush_columnar(&mut self, sem: &mut impl Semantics, col: &mut ColScratch) {
-        let ColScratch { deltas, bitmap, .. } = col;
+        let ColScratch {
+            deltas,
+            bitmap,
+            warm,
+            ..
+        } = col;
 
         // Phase I.
         for i in 0..self.plan.topo().len() {
@@ -699,8 +721,8 @@ impl Pipeline {
             let probed = (lower[li].len() + lower[ri].len()) as u64;
             if probed > 0 {
                 let t_probe = Instant::now();
-                self.probe_direction(sem, r, &lower[li], out, nlj, false, bitmap);
-                self.probe_direction(sem, l, &lower[ri], out, nlj, true, bitmap);
+                self.probe_direction(sem, r, &lower[li], out, nlj, false, bitmap, warm);
+                self.probe_direction(sem, l, &lower[ri], out, nlj, true, bitmap, warm);
                 self.kernels.probe.record(probed, t_probe.elapsed());
             }
             // Intra-batch pairing term.
@@ -728,6 +750,12 @@ impl Pipeline {
             let is_root = self.plan.node(id).parent.is_none();
             let mut d = std::mem::take(&mut deltas[idx]);
             installed += d.len() as u64;
+            self.plan.node(id).state.warm(
+                WarmDepth::Chain,
+                d.len(),
+                |j| (d.hashes[j], d.keys[j]),
+                warm,
+            );
             for (j, t) in d.tuples.drain(..).enumerate() {
                 let h = d.hashes[j];
                 if is_root {
@@ -744,6 +772,7 @@ impl Pipeline {
         for d in deltas.iter_mut() {
             d.shrink(DELTA_SCRATCH_CAP);
         }
+        warm.shrink_to(DELTA_SCRATCH_CAP);
     }
 
     /// Probe `state_node`'s pre-batch state with every entry of `src`,
@@ -767,6 +796,7 @@ impl Pipeline {
         nlj: bool,
         stored_is_left: bool,
         bm: &mut SelBitmap,
+        warm: &mut Vec<u32>,
     ) {
         if src.is_empty() {
             return;
@@ -852,13 +882,13 @@ impl Pipeline {
             }
             return;
         }
-        let prefetch = st.len() >= PREFETCH_MIN_STATE;
+        st.warm(
+            WarmDepth::Pair,
+            src.len(),
+            |i| (src.hashes[i], src.keys[i]),
+            warm,
+        );
         for di in 0..src.len() {
-            if prefetch {
-                if let Some(&hn) = src.hashes.get(di + PREFETCH_DIST) {
-                    st.prefetch(hn);
-                }
-            }
             let (key, h) = (src.keys[di], src.hashes[di]);
             let (f, ms) = (src.fresh[di], src.max_seqs[di]);
             let t = &src.tuples[di];
@@ -1055,6 +1085,41 @@ mod tests {
         assert!(p.push_columnar(&cb).is_err());
         // The serial prefix (first row) must have landed.
         assert_eq!(p.metrics.tuples_in, 1);
+    }
+
+    /// The kernels' warm-up stages are hints: they may not leak into the
+    /// deterministic counters. `Metrics` after a fixed-seed run through the
+    /// segmented columnar path (time windows, expiry in every batch,
+    /// multi-entry chains) must equal, field for field, the counts recorded
+    /// from the commit before the kernels were staged — a warm-up that
+    /// bumped `probe_depth` or `probes` fails here, not in a dashboard.
+    #[test]
+    fn columnar_metrics_equal_the_counts_recorded_before_staging() {
+        let names = ["R", "S", "T", "U"];
+        let catalog = Catalog::new(names.iter().map(|n| StreamDef::timed(*n, 200)).collect());
+        let spec = PlanSpec::left_deep(&names, JoinStyle::Hash);
+        let mut p = Pipeline::new(catalog.unwrap(), &spec).unwrap();
+        let arrivals = random_arrivals(4, 6000, 40, 21);
+        let mut cb = ColumnarBatch::new(64);
+        for chunk in arrivals.chunks(64) {
+            cb.clear();
+            for &(s, k, _) in chunk {
+                cb.push(s, k, 0).unwrap();
+            }
+            p.push_columnar(&cb).unwrap();
+        }
+        let recorded = jisc_common::Metrics {
+            tuples_in: 6000,
+            tuples_out: 10574,
+            probes: 32558,
+            inserts: 27189,
+            removals: 26728,
+            probe_depth: 62734,
+            slab_rehashes: 21,
+            slab_slot_reuses: 26459,
+            ..Default::default()
+        };
+        assert_eq!(p.metrics, recorded);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use output::OutputSink;
 pub use pipeline::{AdoptionOutcome, Pipeline, Semantics};
 pub use plan::{Node, NodeId, OpClass, OpKind, Payload, Plan, QueueItem, Signature, StreamSet};
 pub use predicate::Predicate;
-pub use slab::{SlabStats, SlabStore};
+pub use slab::{SlabStats, SlabStore, WarmDepth};
 pub use snapshot::{BaseRangeExport, BaseStateSnapshot};
 pub use spec::{AggKind, Catalog, JoinStyle, PlanSpec, SpecNode, StreamDef, WindowSpec};
 pub use spill::{ColdTier, DurableCheckpointStore, ScratchDir, SpillConfig, SpillStats};

@@ -57,10 +57,6 @@ pub trait Semantics {
 /// L1 on small batches.
 pub(crate) const PREFETCH_DIST: usize = 8;
 
-/// States smaller than this skip probe prefetching entirely: their index
-/// fits in cache, so the prefetch instructions are pure overhead.
-pub(crate) const PREFETCH_MIN_STATE: usize = 4096;
-
 /// Below this `|δl|·|δr|` product the intra-batch pairing term uses the
 /// plain nested loop; above it, a keyed index over the right delta. The
 /// nested loop wins on small deltas (no map to build or allocate), the
@@ -684,12 +680,9 @@ impl Pipeline {
                 };
             }
             // Left delta × pre-run right state.
-            let prefetch_r = self.plan.node(r).state.len() >= PREFETCH_MIN_STATE;
             for di in 0..lower[li].len() {
-                if prefetch_r {
-                    if let Some((_, _, hn)) = lower[li].get(di + PREFETCH_DIST) {
-                        self.plan.node(r).state.prefetch(*hn);
-                    }
+                if let Some((_, _, hn)) = lower[li].get(di + PREFETCH_DIST) {
+                    self.plan.node(r).state.prefetch(*hn);
                 }
                 let (t, f, h) = lower[li][di].clone();
                 let key = t.key();
@@ -714,12 +707,9 @@ impl Pipeline {
                 };
             }
             // Pre-run left state × right delta.
-            let prefetch_l = self.plan.node(l).state.len() >= PREFETCH_MIN_STATE;
             for di in 0..lower[ri].len() {
-                if prefetch_l {
-                    if let Some((_, _, hn)) = lower[ri].get(di + PREFETCH_DIST) {
-                        self.plan.node(l).state.prefetch(*hn);
-                    }
+                if let Some((_, _, hn)) = lower[ri].get(di + PREFETCH_DIST) {
+                    self.plan.node(l).state.prefetch(*hn);
                 }
                 let (t, f, h) = lower[ri][di].clone();
                 let key = t.key();

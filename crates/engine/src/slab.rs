@@ -24,9 +24,13 @@
 //!   case where the old layout degraded to O(bucket) per expiry.
 //!
 //! The index exposes pre-hashed probes ([`SlabStore::for_each_match_hashed`])
-//! and a [`SlabStore::prefetch`] hint so the batched execution path in
-//! [`Pipeline::push_batch_with`](crate::Pipeline::push_batch_with) can hash a
-//! whole `TupleBatch` once and group-probe it with software prefetching.
+//! and two read-only hints: [`SlabStore::prefetch`], one hash's index group,
+//! for the rolling lookahead of
+//! [`Pipeline::push_batch_with`](crate::Pipeline::push_batch_with); and
+//! [`SlabStore::warm`], a staged walk of a whole item column down each
+//! item's access path (group → pair → chain meta → slot → ring neighbours
+//! and tuple), which the columnar kernels run ahead of their removal, probe
+//! and install loops so the dependent misses of all items overlap.
 //!
 //! Probe work is observable: every find accumulates the number of control
 //! groups examined into [`Metrics::probe_depth`], and index rebuilds count
@@ -77,10 +81,16 @@ fn has_empty(group: u64) -> bool {
     bytes_eq(group, EMPTY) != 0
 }
 
+/// Bytes per cache line the prefetch helpers step by.
+const LINE: usize = 64;
+
 /// Prefetch the cache line holding `p` into all levels (no-op off x86_64).
+/// A hint: `p` is never dereferenced and need not point into an allocation.
 #[inline]
 fn prefetch_read<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
+    // SAFETY: `prefetcht0` has no architectural effect and cannot fault,
+    // whatever the address.
     unsafe {
         core::arch::x86_64::_mm_prefetch(p as *const i8, core::arch::x86_64::_MM_HINT_T0);
     }
@@ -88,10 +98,38 @@ fn prefetch_read<T>(p: *const T) {
     let _ = p;
 }
 
-/// One key's index entry: the intrusive chain through the slab.
+/// Prefetch every cache line overlapping the `len > 0` bytes at `p`.
+#[inline]
+fn prefetch_span(p: *const u8, len: usize) {
+    for off in (0..len).step_by(LINE) {
+        prefetch_read(p.wrapping_add(off));
+    }
+    prefetch_read(p.wrapping_add(len - 1));
+}
+
+/// Prefetch a tuple's heap cell, from the `Arc` reference counts (the two
+/// words ahead of the payload, written by every clone and drop) to the end
+/// of the payload (whose cached seq bounds containment checks and joins
+/// read).
+#[inline]
+fn prefetch_tuple(t: &Tuple) {
+    const COUNTS: usize = 2 * std::mem::size_of::<usize>();
+    let (payload, len) = match t {
+        Tuple::Base(b) => (
+            std::sync::Arc::as_ptr(b) as *const u8,
+            std::mem::size_of::<jisc_common::BaseTuple>(),
+        ),
+        Tuple::Joined(j) => (
+            std::sync::Arc::as_ptr(j) as *const u8,
+            std::mem::size_of::<jisc_common::JoinedTuple>(),
+        ),
+    };
+    prefetch_span(payload.wrapping_sub(COUNTS), COUNTS + len);
+}
+
 /// Hot half of an index slot: everything a single-match probe touches.
-/// 16 bytes, so a probe group's pairs span exactly two cache lines and a
-/// matched pair never straddles a line boundary.
+/// 24 bytes (key + niche-packed `Option<Tuple>`), so a probe group's eight
+/// pairs are 192 bytes: three cache lines, four when the group straddles.
 #[derive(Debug, Clone)]
 struct PairEntry {
     key: Key,
@@ -110,6 +148,10 @@ impl PairEntry {
         first: None,
     };
 }
+
+// [`SlabStore::prefetch`] covers a group by its byte span; a layout change
+// shows up here, not as a silently un-prefetched part of the group.
+const _: () = assert!(std::mem::size_of::<PairEntry>() == 24);
 
 /// Cold half of an index slot: the intrusive chain through the slab,
 /// touched only on insert, removal, and multi-match walks.
@@ -327,6 +369,21 @@ struct Slot {
     ord_prev: u32,
     /// Next slot in global insertion order.
     ord_next: u32,
+}
+
+/// How far down an item's access path [`SlabStore::warm`] prefetches: as
+/// deep as the operation that follows reaches, and no deeper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WarmDepth {
+    /// A probe ([`SlabStore::for_each_match_hashed`]) of a singleton chain
+    /// stops at the pair's mirror tuple: stages 0–1.
+    Pair,
+    /// An install ([`SlabStore::insert_hashed`]) also writes the chain meta
+    /// and the tail slot: stages 0–2.
+    Chain,
+    /// A removal ([`SlabStore::remove_containing`]) also unlinks the slot
+    /// from the ring and its chain and drops its tuple: stages 0–3.
+    Ring,
 }
 
 /// Occupancy diagnostics for one store (see [`SlabStore::stats`]).
@@ -583,9 +640,8 @@ impl SlabStore {
         }
     }
 
-    /// Prefetch the control group and hot pair lines `h` will probe — three
-    /// cache lines total (`PairEntry` is 16 bytes, so the group's pairs
-    /// span exactly two lines).
+    /// Prefetch the control group `h` will probe and every line of the
+    /// group's hot pairs (192 bytes: three or four lines).
     #[inline]
     pub fn prefetch(&self, h: u64) {
         let cap = self.index.capacity();
@@ -595,8 +651,103 @@ impl SlabStore {
         let g = (h as usize) & (cap / GROUP - 1);
         let base = g * GROUP;
         prefetch_read(&self.index.ctrl[base]);
-        prefetch_read(&self.index.pairs[base]);
-        prefetch_read(&self.index.pairs[base + GROUP / 2]);
+        prefetch_span(
+            &self.index.pairs[base] as *const PairEntry as *const u8,
+            GROUP * std::mem::size_of::<PairEntry>(),
+        );
+    }
+
+    /// Group-prefetched warm-up of a column of `n` items (`item(i)` is the
+    /// i-th `(hash, key)`) ahead of the per-item operation named by
+    /// `depth`: each stage runs over the whole column before the next one
+    /// starts, so the stage-`k` misses of all items overlap instead of
+    /// queueing behind one another inside each item's operation (Chen et
+    /// al., "Improving hash join performance through prefetching").
+    ///
+    /// * stage 0 — [`SlabStore::prefetch`]: control group and pair lines;
+    /// * stage 1 — find the key (throw-away depth count): its
+    ///   [`ChainMeta`] and the singleton mirror's tuple; ahead of an
+    ///   install, for an absent key, the meta the insert will claim;
+    /// * stage 2 — the chain's head and tail [`Slot`]s;
+    /// * stage 3 — the head slot's ring neighbours, chain successor and
+    ///   tuple.
+    ///
+    /// Purely a hint: it reads the index and slab, mutates nothing, touches
+    /// no [`Metrics`], and the operations that follow neither need it nor
+    /// see it. Only the hot tier is walked: the cold tier's stub index is
+    /// never consulted (a lookup per item would cost what it saves), so a
+    /// key whose chain is cold is simply absent here. `cur` is scratch (one
+    /// index per item, carried between stages); looked up with `get`, so
+    /// the walk is sound on any table state.
+    pub fn warm(
+        &self,
+        depth: WarmDepth,
+        n: usize,
+        item: impl Fn(usize) -> (u64, Key),
+        cur: &mut Vec<u32>,
+    ) {
+        if self.index.capacity() == 0 {
+            return;
+        }
+        for i in 0..n {
+            self.prefetch(item(i).0);
+        }
+        cur.clear();
+        cur.extend((0..n).map(|i| {
+            let (h, key) = item(i);
+            self.warm_index(h, key, depth)
+        }));
+        if depth == WarmDepth::Pair {
+            return;
+        }
+        let prefetch_slot = |s: u32| {
+            if let Some(slot) = self.slots.get(s as usize) {
+                prefetch_read(slot);
+            }
+        };
+        for c in cur.iter_mut() {
+            // A `NIL` cursor (absent key) finds no meta and stays.
+            if let Some(meta) = self.index.metas.get(*c as usize) {
+                prefetch_slot(meta.head);
+                prefetch_slot(meta.tail);
+                *c = meta.head;
+            }
+        }
+        if depth == WarmDepth::Chain {
+            return;
+        }
+        for &c in cur.iter() {
+            if let Some(head) = self.slots.get(c as usize) {
+                prefetch_slot(head.next);
+                prefetch_slot(head.ord_prev);
+                prefetch_slot(head.ord_next);
+                if let Some(t) = &head.tuple {
+                    prefetch_tuple(t);
+                }
+            }
+        }
+    }
+
+    /// Stage 1 of [`SlabStore::warm`]: the index slot of `key` (`NIL` when
+    /// absent).
+    #[inline]
+    fn warm_index(&self, h: u64, key: Key, depth: WarmDepth) -> u32 {
+        match self.index.find(h, key, &mut 0) {
+            Some(idx) => {
+                prefetch_read(&self.index.metas[idx]);
+                if let Some(t) = &self.index.pairs[idx].first {
+                    prefetch_tuple(t);
+                }
+                idx as u32
+            }
+            None => {
+                // Only an install does anything with an absent key.
+                if depth == WarmDepth::Chain {
+                    prefetch_read(&self.index.metas[self.index.insert_position(h)]);
+                }
+                NIL
+            }
+        }
     }
 
     // ----- internal plumbing -----
@@ -1156,6 +1307,38 @@ mod tests {
         }
         s.prefetch(hash_key(5)); // smoke: must not panic on any table size
         SlabStore::new().prefetch(hash_key(5));
+    }
+
+    #[test]
+    fn warm_ups_are_harmless_on_any_table_state() {
+        // The hint itself: never dereferenced, so a null or dangling
+        // address is fine — on x86_64 the prefetch cannot fault, elsewhere
+        // the fallback discards the pointer.
+        prefetch_read(std::ptr::null::<Slot>());
+        prefetch_span(std::ptr::NonNull::<u8>::dangling().as_ptr(), 3 * LINE);
+
+        let items: Vec<(u64, Key)> = (0..40).map(|k| (hash_key(k), k)).collect();
+        let mut cur = vec![7; 3]; // stale scratch from another column
+        let warm_all = |s: &SlabStore, cur: &mut Vec<u32>| {
+            for depth in [WarmDepth::Pair, WarmDepth::Chain, WarmDepth::Ring] {
+                s.warm(depth, items.len(), |i| items[i], cur);
+                s.warm(depth, 0, |i| items[i], cur);
+            }
+        };
+        let mut m = Metrics::new();
+        let mut s = SlabStore::new();
+        warm_all(&s, &mut cur); // no table at all
+        s.reserve(100, 100, &mut m);
+        warm_all(&s, &mut cur); // freshly rehashed, empty
+        for seq in 0..60 {
+            s.insert(bt(0, seq, seq % 20), &mut m);
+        }
+        for key in 0..10 {
+            s.remove_key(key, &mut m); // tombstones and free-listed slots
+        }
+        warm_all(&s, &mut cur); // live chains, singleton and multi-entry
+        s.clear();
+        warm_all(&s, &mut cur); // cleared: capacity kept, slab empty
     }
 
     #[test]

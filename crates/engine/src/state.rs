@@ -17,7 +17,7 @@ use jisc_common::{
 };
 
 use crate::predicate::Predicate;
-use crate::slab::{SlabStats, SlabStore};
+use crate::slab::{SlabStats, SlabStore, WarmDepth};
 use crate::spill::{SpillConfig, SpillStats};
 
 /// Physical layout of a state.
@@ -364,6 +364,22 @@ impl State {
     pub fn prefetch(&self, h: u64) {
         if let Store::Hash(slab) = &self.store {
             slab.prefetch(h);
+        }
+    }
+
+    /// Group-prefetched warm-up of a column of `(hash, key)` items ahead of
+    /// the per-item operations that follow (see [`SlabStore::warm`]; no-op
+    /// for lists). A pure hint: reads only, no [`Metrics`].
+    #[inline]
+    pub fn warm(
+        &self,
+        depth: WarmDepth,
+        n: usize,
+        item: impl Fn(usize) -> (u64, Key),
+        cur: &mut Vec<u32>,
+    ) {
+        if let Store::Hash(slab) = &self.store {
+            slab.warm(depth, n, item, cur);
         }
     }
 

@@ -1,11 +1,112 @@
 //! Property tests for the engine substrate: state bookkeeping and plan
 //! compilation invariants under randomized operation sequences.
 
-use jisc_common::{BaseTuple, Metrics, SplitMix64, StreamId, Tuple};
-use jisc_engine::{Catalog, JoinStyle, Plan, PlanSpec, State, StoreKind};
+use jisc_common::{hash_key, BaseTuple, Key, Metrics, SplitMix64, StreamId, Tuple};
+use jisc_engine::{
+    Catalog, JoinStyle, Plan, PlanSpec, ScratchDir, SlabStore, SpillConfig, State, StoreKind,
+    WarmDepth,
+};
 use proptest::prelude::*;
 
+/// Everything observable about a store: both tiers' sizes, then (cold tier
+/// faulted back) the insertion ring and every key's chain, in order.
+fn store_contents(
+    s: &mut SlabStore,
+    m: &mut Metrics,
+) -> (usize, usize, Vec<Tuple>, Vec<Vec<Tuple>>) {
+    let (len, cold) = (s.len(), s.cold_entries());
+    s.fault_in_all(m);
+    let ring = s.iter().cloned().collect();
+    let chains = (0..12)
+        .map(|key| {
+            let mut chain = Vec::new();
+            s.for_each_match(key, m, |t| chain.push(t.clone()));
+            chain
+        })
+        .collect();
+    (len, cold, ring, chains)
+}
+
 proptest! {
+    /// The staged retract kernel — every warm-up stage over the whole
+    /// removal column, then the per-item `remove_containing` loop — leaves
+    /// the store, the per-item counts and `Metrics` exactly as the loop
+    /// alone does. Columns repeat keys (the second item finds the first's
+    /// victim gone, or its index slot tombstoned), name absent seqs and
+    /// absent keys, hit multi-entry chains of composites, and — with a
+    /// budget of a few entries — keys whose chains are partly or wholly
+    /// cold stubs. Inserts between columns recycle freed slots and rehash.
+    #[test]
+    fn warmed_removal_column_equals_the_plain_loop(
+        rounds in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u64..10, 0u64..1000), 1..40),
+                proptest::collection::vec((0u8..8, 0u64..1000), 1..24),
+            ),
+            1..6,
+        ),
+        spill in any::<bool>(),
+    ) {
+        let dirs = [ScratchDir::new("warm-a"), ScratchDir::new("warm-b")];
+        let (mut warmed, mut plain) = (SlabStore::new(), SlabStore::new());
+        let (mut mw, mut mp) = (Metrics::new(), Metrics::new());
+        if spill {
+            for (s, d) in [&mut warmed, &mut plain].into_iter().zip(&dirs) {
+                let mut cfg = SpillConfig::new(6 * jisc_engine::slab::HOT_ENTRY_EST_BYTES, d.path());
+                cfg.segment_target_bytes = 512;
+                s.enable_spill(cfg).unwrap();
+            }
+        }
+        let mut bases: Vec<(StreamId, u64, Key, Tuple)> = Vec::new();
+        let mut cur = Vec::new();
+        for (inserts, removals) in rounds {
+            for (key, pick) in inserts {
+                let (stream, seq) = (StreamId((pick % 3) as u16), bases.len() as u64);
+                let base = Tuple::base(BaseTuple::new(stream, seq, key, 0));
+                // Every third insert joins an earlier arrival of the key,
+                // as a join state's entries do.
+                let partner = bases.iter().rev().find(|b| b.2 == key && b.0 != stream);
+                let entry = match partner {
+                    Some(p) if pick % 3 == 0 => Tuple::joined(key, p.3.clone(), base.clone()),
+                    _ => base.clone(),
+                };
+                bases.push((stream, seq, key, base));
+                warmed.insert(entry.clone(), &mut mw);
+                plain.insert(entry, &mut mp);
+            }
+            let column: Vec<(StreamId, u64, Key)> = removals
+                .iter()
+                .map(|&(kind, pick)| {
+                    let b = &bases[pick as usize % bases.len()];
+                    match kind {
+                        0 => (b.0, b.1 + 10_000, b.2), // absent seq under a live key
+                        1 => (b.0, b.1, 99),           // absent key
+                        _ => (b.0, b.1, b.2),
+                    }
+                })
+                .collect();
+            warmed.warm(
+                WarmDepth::Ring,
+                column.len(),
+                |i| (hash_key(column[i].2), column[i].2),
+                &mut cur,
+            );
+            for &(stream, seq, key) in &column {
+                prop_assert_eq!(
+                    warmed.remove_containing(stream, seq, key, &mut mw),
+                    plain.remove_containing(stream, seq, key, &mut mp),
+                    "removed count of ({}, {}, {})", stream, seq, key
+                );
+            }
+            prop_assert_eq!(warmed.stats(), plain.stats());
+        }
+        prop_assert_eq!(
+            store_contents(&mut warmed, &mut mw),
+            store_contents(&mut plain, &mut mp)
+        );
+        prop_assert_eq!(mw, mp);
+    }
+
     /// State length stays consistent with its contents under arbitrary
     /// interleavings of inserts and removals, for both store layouts.
     #[test]
