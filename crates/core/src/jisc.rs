@@ -24,11 +24,42 @@
 //! lineage-deduplication, and the counter semantics of §4.3 are preserved
 //! exactly. The `isFresh` classification is kept for §4.2's window-clearing
 //! optimization and for metrics.
+//!
+//! ### Granularity: completion by column
+//!
+//! Procedures 2 and 3 are stated per key. Both batch planes probe a state
+//! with a whole *column* of keys at once, so completion runs column-shaped
+//! too ([`Semantics::complete_keys`]): the still-pending keys of the column
+//! are completed **level-major** — every key at the lowest plan level
+//! first, then the next level up — instead of one key's whole spine at a
+//! time. The procedures themselves are unchanged (a key's entries at a node
+//! depend only on that key's entries at the children, which the level
+//! below has finished), but each level becomes a short loop over a few
+//! states that can be group-prefetched, with its scratch reused. The
+//! per-tuple path completes a column of one through the same code.
+//!
+//! ### Mid-migration execution is per key
+//!
+//! Everything this module keeps is keyed by *(state, key)*: the pending
+//! sets, the completed sets of Case 3, the entries a completion
+//! materializes. Events on different keys therefore commute while states
+//! are incomplete exactly as they do on complete ones, and the batch planes
+//! run their usual pops-then-inserts plan through a migration (DESIGN §9).
+//! Two things make a reordering safe rather than merely plausible:
+//! `needs_completion` may be spuriously *true* — the price is a
+//! deduplicated no-op completion, or a `Remove` forwarded to find nothing —
+//! but never spuriously false; and the one cross-key read, the Case-3
+//! residual taken when both children become complete
+//! ([`Pipeline::on_state_completed`]), can only lose keys whose children
+//! hold nothing. Expiry bookkeeping (`Pipeline::note_removal`) obeys one
+//! ordering rule on every path: a pending key is dropped only after every
+//! removal for it in the current expiry run has been forwarded.
 
-use jisc_common::Tuple;
-use jisc_common::{hash_key, Event, FxHashSet, Key, Result, TupleBatch};
+use jisc_common::{hash_key, Event, FxHashSet, Key, Lineage, Result, Tuple, TupleBatch};
 use jisc_engine::ops;
-use jisc_engine::{NodeId, OpKind, Payload, Pipeline, PlanSpec, QueueItem, Semantics, Signature};
+use jisc_engine::{
+    NodeId, OpKind, Payload, Pipeline, PlanSpec, QueueItem, Semantics, Signature, WarmDepth,
+};
 
 use crate::migrate::{verify_reorderable, verify_same_query};
 
@@ -48,36 +79,64 @@ pub enum CompletionMode {
 pub struct JiscSemantics {
     /// Completion-procedure selection (ablations override the default).
     pub mode: CompletionMode,
+    /// Buffers reused across completions.
+    scratch: CompletionScratch,
+}
+
+/// Reusable buffers of column completion, so the steady state allocates
+/// nothing per completed key.
+#[derive(Debug, Default)]
+pub(crate) struct CompletionScratch {
+    /// Free list of `(hash, key)` columns: the pending keys selected at the
+    /// probed state, and one narrowed column per recursion level of
+    /// Procedure 2.
+    columns: Vec<Vec<(u64, Key)>>,
+    /// Left spine below the probed state (Procedure 3).
+    spine: Vec<NodeId>,
+    /// The children's entries for the key being materialized.
+    ls: Vec<Tuple>,
+    rs: Vec<Tuple>,
+    /// Lineages the materialized state already holds for that key.
+    existing: FxHashSet<Lineage>,
+    /// Cursors of the warm-up stages ([`jisc_engine::State::warm`]).
+    warm: Vec<u32>,
+}
+
+impl JiscSemantics {
+    /// Per-tuple form of [`Semantics::complete_keys`]: a column of one.
+    fn complete_key(&mut self, p: &mut Pipeline, n: NodeId, key: Key) {
+        if !p.plan().node(n).state.is_complete() {
+            complete_column(p, n, &[key], &[hash_key(key)], self.mode, &mut self.scratch);
+        }
+    }
 }
 
 impl Semantics for JiscSemantics {
     fn process(&mut self, p: &mut Pipeline, node: NodeId, item: QueueItem) {
         match p.plan().node(node).op {
-            OpKind::HashJoin | OpKind::NljJoin(_) => jisc_join(p, node, item, self.mode),
-            OpKind::SetDiff => jisc_set_diff(p, node, item, self.mode),
+            OpKind::HashJoin | OpKind::NljJoin(_) => jisc_join(self, p, node, item),
+            OpKind::SetDiff => jisc_set_diff(self, p, node, item),
             OpKind::Scan(_) | OpKind::Aggregate(_) => ops::default_process(p, node, item),
         }
     }
 
-    /// Batched-path counterpart of the `ensure_key_complete_with` call in
-    /// `jisc_join`: complete the probed state's entries for the key
+    /// Batched-path counterpart of the `complete_key` call in `jisc_join`:
+    /// complete the probed state's entries for every key of the column
     /// before any batch tuple reads them.
-    fn before_probe(&mut self, p: &mut Pipeline, state_node: NodeId, key: Key) {
-        ensure_key_complete_with(p, state_node, key, self.mode);
-    }
-
-    /// JISC `Remove` handling is the default walk plus `note_removal`,
-    /// which is a no-op on complete states — so once every state is
-    /// complete (no migration debt in flight), the bulk retraction kernel
-    /// is exact.
-    fn bulk_retract_ok(&self, p: &Pipeline) -> bool {
-        p.all_states_complete()
+    fn complete_keys(
+        &mut self,
+        p: &mut Pipeline,
+        state_node: NodeId,
+        keys: &[Key],
+        hashes: &[u64],
+    ) {
+        complete_column(p, state_node, keys, hashes, self.mode, &mut self.scratch);
     }
 }
 
 /// Procedure 1: JISC join. Complete the opposite state's entries for the
 /// tuple's key on demand, then join as usual.
-fn jisc_join(p: &mut Pipeline, node: NodeId, item: QueueItem, mode: CompletionMode) {
+fn jisc_join(sem: &mut JiscSemantics, p: &mut Pipeline, node: NodeId, item: QueueItem) {
     match item.payload {
         Payload::Insert { tuple, fresh } => {
             let from = item.from.expect("join items come from a child");
@@ -85,67 +144,17 @@ fn jisc_join(p: &mut Pipeline, node: NodeId, item: QueueItem, mode: CompletionMo
                 .plan()
                 .sibling(node, from)
                 .expect("binary node has sibling");
-            ensure_key_complete_with(p, opp, tuple.key(), mode);
+            sem.complete_key(p, opp, tuple.key());
             ops::probe_and_emit_joins(p, node, item.from, tuple, fresh);
         }
-        Payload::Remove {
-            stream,
-            seq,
-            key,
-            fresh,
-        } => {
-            let removed = p.state_remove_containing(node, stream, seq, key);
-            // §4.2: an incomplete state cannot prove absence for a key it
-            // has not completed — the clearing-tuple continues upward, since
-            // (adopted, complete) states above may still hold its entries.
-            // The per-key pending check is strictly tighter than the paper's
-            // fresh/attempted gate, which is unsound when the attempted
-            // arrival never completed this state (see module docs).
-            if removed > 0 || p.plan().node(node).state.needs_completion(key) {
-                p.forward_or_emit(
-                    node,
-                    Payload::Remove {
-                        stream,
-                        seq,
-                        key,
-                        fresh,
-                    },
-                );
-            }
-            note_removal(p, node, key);
-        }
-        Payload::RemoveEntry {
-            lineage,
-            key,
-            fresh,
-        } => {
-            let removed = p.state_remove_superset(node, &lineage, key);
-            if removed > 0 || p.plan().node(node).state.needs_completion(key) {
-                p.forward_or_emit(
-                    node,
-                    Payload::RemoveEntry {
-                        lineage,
-                        key,
-                        fresh,
-                    },
-                );
-            }
-            note_removal(p, node, key);
-        }
-        Payload::SuppressKey { key, fresh } => {
-            let removed = p.state_remove_key(node, key);
-            if removed > 0 || p.plan().node(node).state.needs_completion(key) {
-                p.forward_or_emit(node, Payload::SuppressKey { key, fresh });
-            }
-            note_removal(p, node, key);
-        }
+        removal => ops::process_removal(p, node, removal),
     }
 }
 
 /// §4.7: JISC set-difference. Inner arrivals probing an incomplete state
 /// forward a key-suppression up the pipeline (they cannot prove local
 /// absence); inner expiries complete the outer child before re-adding.
-fn jisc_set_diff(p: &mut Pipeline, node: NodeId, item: QueueItem, mode: CompletionMode) {
+fn jisc_set_diff(sem: &mut JiscSemantics, p: &mut Pipeline, node: NodeId, item: QueueItem) {
     let from = item.from.expect("set-difference items come from a child");
     let from_left = p.plan().is_left_child(node, from);
     let inner = p.plan().node(node).right.expect("set-diff has right child");
@@ -161,7 +170,7 @@ fn jisc_set_diff(p: &mut Pipeline, node: NodeId, item: QueueItem, mode: Completi
                 // With the inner tuple in its window the visible set for
                 // this key is now empty — nothing left to complete.
                 if p.plan_mut().node_mut(node).state.note_key_completed(key) {
-                    on_state_completed(p, node);
+                    p.on_state_completed(node);
                 }
             } else {
                 ops::process_set_diff(
@@ -176,7 +185,7 @@ fn jisc_set_diff(p: &mut Pipeline, node: NodeId, item: QueueItem, mode: Completi
         }
         Payload::Insert { tuple, fresh } => {
             // Outer arrival: the inner child may itself be incomplete.
-            ensure_key_complete_with(p, inner, tuple.key(), mode);
+            sem.complete_key(p, inner, tuple.key());
             ops::process_set_diff(
                 p,
                 node,
@@ -189,7 +198,7 @@ fn jisc_set_diff(p: &mut Pipeline, node: NodeId, item: QueueItem, mode: Completi
         Payload::Remove { key, fresh, .. } if !from_left => {
             // Inner expiry: formerly suppressed outers may become visible.
             if !p.state_contains_key(inner, key) {
-                ensure_key_complete_with(p, outer, key, mode);
+                sem.complete_key(p, outer, key);
                 let mut candidates = p.take_probe_scratch();
                 p.lookup_state_into(outer, key, &mut candidates);
                 for c in candidates.drain(..) {
@@ -202,178 +211,190 @@ fn jisc_set_diff(p: &mut Pipeline, node: NodeId, item: QueueItem, mode: Completi
                 if p.plan().node(node).state.needs_completion(key)
                     && p.plan_mut().node_mut(node).state.note_key_completed(key)
                 {
-                    on_state_completed(p, node);
+                    p.on_state_completed(node);
                 }
             }
         }
-        Payload::Remove {
-            stream,
-            seq,
-            key,
-            fresh,
-        } => {
-            let removed = p.state_remove_containing(node, stream, seq, key);
-            if removed > 0 || p.plan().node(node).state.needs_completion(key) {
-                p.forward_or_emit(
-                    node,
-                    Payload::Remove {
-                        stream,
-                        seq,
-                        key,
-                        fresh,
-                    },
-                );
-            }
-            note_removal(p, node, key);
-        }
-        Payload::RemoveEntry {
-            lineage,
-            key,
-            fresh,
-        } => {
-            let removed = p.state_remove_superset(node, &lineage, key);
-            if removed > 0 || p.plan().node(node).state.needs_completion(key) {
-                p.forward_or_emit(
-                    node,
-                    Payload::RemoveEntry {
-                        lineage,
-                        key,
-                        fresh,
-                    },
-                );
-            }
-            note_removal(p, node, key);
-        }
-        Payload::SuppressKey { key, fresh } => {
-            let removed = p.state_remove_key(node, key);
-            if removed > 0 || p.plan().node(node).state.needs_completion(key) {
-                p.forward_or_emit(node, Payload::SuppressKey { key, fresh });
-            }
-            note_removal(p, node, key);
-        }
+        removal => ops::process_removal(p, node, removal),
     }
 }
 
-/// Complete the entries for `key` at node `n`'s state if (and only if) they
-/// are still pending, choosing the iterative procedure for left-deep plans
-/// (Procedure 3) and the recursive one otherwise (Procedure 2).
-pub fn ensure_key_complete(p: &mut Pipeline, n: NodeId, key: Key) {
-    ensure_key_complete_with(p, n, key, CompletionMode::Auto)
-}
-
-/// [`ensure_key_complete`] with an explicit completion-procedure choice.
-pub fn ensure_key_complete_with(p: &mut Pipeline, n: NodeId, key: Key, mode: CompletionMode) {
+/// Complete `n`'s entries for every key of the column that is still
+/// pending there (Procedure 1's trigger, `needs_completion`, is
+/// authoritative per key — see the module docs), level-major: first every
+/// state below `n` that the procedure reaches, bottom-up, each for all of
+/// the column's pending keys; then `n` itself. Left-deep plans walk the left
+/// spine (Procedure 3), others recurse (Procedure 2). Afterwards no key of
+/// the column needs completion at `n`.
+fn complete_column(
+    p: &mut Pipeline,
+    n: NodeId,
+    keys: &[Key],
+    hashes: &[u64],
+    mode: CompletionMode,
+    sc: &mut CompletionScratch,
+) {
     let st = &p.plan().node(n).state;
-    if !st.needs_completion(key) {
-        if !st.is_complete() {
-            // The paper's "attempted" short-circuit: entries for this key
-            // are already known complete even though the state is not.
-            p.metrics.attempted_skips += 1;
+    if st.is_complete() {
+        return;
+    }
+    let mut todo = sc.columns.pop().unwrap_or_default();
+    todo.extend(
+        keys.iter()
+            .zip(hashes)
+            .filter(|(&k, _)| st.needs_completion(k))
+            .map(|(&k, &h)| (h, k)),
+    );
+    // The paper's "attempted" short-circuit: entries for these keys are
+    // already known complete even though the state is not.
+    p.metrics.attempted_skips += (keys.len() - todo.len()) as u64;
+    if !todo.is_empty() {
+        let node = p.plan().node(n);
+        if let (Some(l), Some(r)) = (node.left, node.right) {
+            if mode == CompletionMode::Auto && p.plan().is_left_deep() {
+                // Procedure 3: no recursion — the right children (inner
+                // streams) always have complete states.
+                let mut spine = std::mem::take(&mut sc.spine);
+                let mut below = Some(l);
+                while let Some(node) = below {
+                    spine.push(node);
+                    below = p.plan().node(node).left;
+                }
+                for node in spine.drain(..).rev() {
+                    complete_level(p, node, &todo, false, sc);
+                }
+                sc.spine = spine;
+            } else {
+                complete_subtree(p, l, &todo, sc);
+                complete_subtree(p, r, &todo, sc);
+            }
         }
-        return;
+        complete_level(p, n, &todo, true, sc);
     }
-    p.metrics.completions += 1;
-    if mode == CompletionMode::Auto && p.plan().is_left_deep() {
-        complete_key_left_deep(p, n, key);
-    } else {
-        complete_key_recursive(p, n, key);
-    }
+    todo.clear();
+    sc.columns.push(todo);
 }
 
-/// Procedure 2: recursive state completion (bushy plans). Children are
-/// completed for `key` first, then the missing entries at `n` are computed
-/// from the children's states and merged (lineage-deduplicated against
-/// entries accumulated by normal post-transition processing).
-pub fn complete_key_recursive(p: &mut Pipeline, n: NodeId, key: Key) {
-    if !p.plan().node(n).state.needs_completion(key) {
+/// Procedure 2 below the probed state: narrow the column to the keys still
+/// pending at `m`, complete `m`'s children for them, then `m`.
+fn complete_subtree(p: &mut Pipeline, m: NodeId, keys: &[(u64, Key)], sc: &mut CompletionScratch) {
+    let node = p.plan().node(m);
+    if node.state.is_complete() {
         return;
     }
-    let node = p.plan().node(n);
-    if let (Some(l), Some(r)) = (node.left, node.right) {
-        complete_key_recursive(p, l, key);
-        complete_key_recursive(p, r, key);
-        materialize_key(p, n, key);
+    let mut sub = sc.columns.pop().unwrap_or_default();
+    sub.extend(keys.iter().filter(|(_, k)| node.state.needs_completion(*k)));
+    if !sub.is_empty() {
+        if let (Some(l), Some(r)) = (node.left, node.right) {
+            complete_subtree(p, l, &sub, sc);
+            complete_subtree(p, r, &sub, sc);
+        }
+        complete_level(p, m, &sub, false, sc);
     }
-    if p.plan_mut().node_mut(n).state.note_key_completed(key) {
-        on_state_completed(p, n);
-    }
+    sub.clear();
+    sc.columns.push(sub);
 }
 
-/// Procedure 3: iterative state completion for left-deep plans. Descends
-/// the left spine below `n` and materializes upward — no recursion, as the
-/// right children (inner streams) always have complete states.
-pub fn complete_key_left_deep(p: &mut Pipeline, n: NodeId, key: Key) {
-    // Collect the left spine from `n` down to the leaf.
-    let mut spine = vec![n];
-    let mut cur = n;
-    while let Some(l) = p.plan().node(cur).left {
-        spine.push(l);
-        cur = l;
+/// One level of a column completion: for every key of `keys` still pending
+/// at `node`, materialize the missing entries from the children's states —
+/// key-complete by now — and settle the §4.3 bookkeeping. `top` marks the
+/// probed state, where Procedure 1 counts its completions (a key repeated
+/// in the column completes once; the repeat is an attempted skip).
+fn complete_level(
+    p: &mut Pipeline,
+    node: NodeId,
+    keys: &[(u64, Key)],
+    top: bool,
+    sc: &mut CompletionScratch,
+) {
+    let nd = p.plan().node(node);
+    if nd.state.is_complete() {
+        return;
     }
-    // Materialize bottom-up wherever the key is still pending.
-    for &node in spine.iter().rev() {
-        if !p.plan().node(node).state.needs_completion(key) {
+    if let (Some(l), Some(r), true) = (nd.left, nd.right, keys.len() > 1) {
+        // Overlap the column's cache misses: both children are probed, the
+        // own state is probed and then inserted into.
+        for (id, depth) in [
+            (l, WarmDepth::Pair),
+            (r, WarmDepth::Pair),
+            (node, WarmDepth::Chain),
+        ] {
+            let state = &p.plan().node(id).state;
+            state.warm(depth, keys.len(), |i| keys[i], &mut sc.warm);
+        }
+    }
+    for &(h, key) in keys {
+        let st = &p.plan().node(node).state;
+        if !st.needs_completion(key) {
+            if top && !st.is_complete() {
+                p.metrics.attempted_skips += 1;
+            }
             continue;
         }
-        if p.plan().node(node).left.is_some() {
-            materialize_key(p, node, key);
+        if top {
+            p.metrics.completions += 1;
         }
+        materialize_key(p, node, h, key, sc);
         if p.plan_mut().node_mut(node).state.note_key_completed(key) {
-            on_state_completed(p, node);
+            p.on_state_completed(node);
         }
     }
 }
 
-/// Compute the full entry set for `key` at binary node `n` from its
-/// children's (key-complete) states and merge the missing entries.
+/// Compute the full entry set for `key` (hash `h`) at binary node `n` from
+/// its children's (key-complete) states and merge the missing entries; a
+/// no-op at scans.
 ///
 /// Entries that accumulated through normal post-transition processing are
 /// skipped by lineage; the existing-lineage set is built once per key so
-/// the merge is linear in the bucket, not quadratic.
-pub(crate) fn materialize_key(p: &mut Pipeline, n: NodeId, key: Key) {
+/// the merge is linear in the bucket, not quadratic. One key, several
+/// probes and inserts against hash-indexed slab states: the hash is handed
+/// down (list-backed states ignore it).
+pub(crate) fn materialize_key(
+    p: &mut Pipeline,
+    n: NodeId,
+    h: u64,
+    key: Key,
+    sc: &mut CompletionScratch,
+) {
     let node = p.plan().node(n);
     let (Some(l), Some(r)) = (node.left, node.right) else {
         return;
     };
-    // One key, several probes and inserts against hash-indexed slab states:
-    // hash once and hand the hash down (list-backed states ignore it).
-    let h = hash_key(key);
+    let CompletionScratch {
+        ls, rs, existing, ..
+    } = sc;
+    // Lineages `n` already holds for the key, into `existing`.
+    let mut collect_existing = |p: &mut Pipeline| {
+        let mut own = p.take_probe_scratch();
+        p.lookup_state_into_hashed(n, h, key, &mut own);
+        existing.clear();
+        existing.extend(own.iter().map(Tuple::lineage));
+        p.recycle_probe_scratch(own);
+    };
     match node.op {
         OpKind::HashJoin | OpKind::NljJoin(_) => {
-            let mut ls = Vec::new();
-            p.lookup_state_into_hashed(l, h, key, &mut ls);
-            if ls.is_empty() {
-                return;
+            p.lookup_state_into_hashed(l, h, key, ls);
+            if !ls.is_empty() {
+                p.lookup_state_into_hashed(r, h, key, rs);
             }
-            let mut rs = Vec::new();
-            p.lookup_state_into_hashed(r, h, key, &mut rs);
-            if rs.is_empty() {
-                return;
-            }
-            let mut own = p.take_probe_scratch();
-            p.lookup_state_into_hashed(n, h, key, &mut own);
-            let existing: FxHashSet<jisc_common::Lineage> =
-                own.iter().map(|t| t.lineage()).collect();
-            p.recycle_probe_scratch(own);
-            for a in &ls {
-                for b in &rs {
-                    let t = Tuple::joined(key, a.clone(), b.clone());
-                    if existing.is_empty() || !existing.contains(&t.lineage()) {
-                        p.state_insert_hashed(n, h, t);
+            if !rs.is_empty() {
+                collect_existing(p);
+                for a in ls.iter() {
+                    for b in rs.iter() {
+                        let t = Tuple::joined(key, a.clone(), b.clone());
+                        if existing.is_empty() || !existing.contains(&t.lineage()) {
+                            p.state_insert_hashed(n, h, t);
+                        }
                     }
                 }
             }
         }
         OpKind::SetDiff => {
             if !p.state_contains_key(r, key) {
-                let mut own = p.take_probe_scratch();
-                p.lookup_state_into_hashed(n, h, key, &mut own);
-                let existing: FxHashSet<jisc_common::Lineage> =
-                    own.iter().map(|t| t.lineage()).collect();
-                p.recycle_probe_scratch(own);
-                let mut outers = Vec::new();
-                p.lookup_state_into_hashed(l, h, key, &mut outers);
-                for a in outers {
+                collect_existing(p);
+                p.lookup_state_into_hashed(l, h, key, ls);
+                for a in ls.drain(..) {
                     if existing.is_empty() || !existing.contains(&a.lineage()) {
                         p.state_insert_hashed(n, h, a);
                     }
@@ -382,100 +403,18 @@ pub(crate) fn materialize_key(p: &mut Pipeline, n: NodeId, key: Key) {
         }
         OpKind::Scan(_) | OpKind::Aggregate(_) => {}
     }
-}
-
-/// §4.3 child-completion notification: when `n`'s state becomes complete,
-/// a Case-3 parent whose other child is also complete can finally resolve
-/// its pending set; completion may then cascade upward.
-pub fn on_state_completed(p: &mut Pipeline, n: NodeId) {
-    let mut cur = n;
-    while let Some(par) = p.plan().node(cur).parent {
-        let pst = &p.plan().node(par).state;
-        if pst.is_complete() || pst.counter().is_some() {
-            // Complete already, or Known pending that resolves by counter.
-            return;
-        }
-        let parent_node = p.plan().node(par);
-        let (Some(l), Some(r)) = (parent_node.left, parent_node.right) else {
-            return;
-        };
-        if !(p.plan().node(l).state.is_complete() && p.plan().node(r).state.is_complete()) {
-            return;
-        }
-        let residual = case3_residual(p, par, l, r);
-        if p.plan_mut().node_mut(par).state.resolve_case3(residual) {
-            cur = par;
-        } else {
-            return;
-        }
-    }
-}
-
-/// Residual pending keys for a Case-3 state whose children just became
-/// complete: the counter basis of §4.3 (smaller child key set; outer keys
-/// for set-difference) minus keys already completed on demand. Keys fully
-/// handled by post-transition processing may linger in the residual; their
-/// later completion is a deduplicated no-op.
-fn case3_residual(p: &Pipeline, parent: NodeId, l: NodeId, r: NodeId) -> FxHashSet<Key> {
-    let basis = match p.plan().node(parent).op {
-        OpKind::SetDiff => p.plan().node(l).state.distinct_keys(),
-        _ => {
-            let (lc, rc) = (
-                p.plan().node(l).state.distinct_key_count(),
-                p.plan().node(r).state.distinct_key_count(),
-            );
-            if lc <= rc {
-                p.plan().node(l).state.distinct_keys()
-            } else {
-                p.plan().node(r).state.distinct_keys()
-            }
-        }
-    };
-    match p.plan().node(parent).state.completed_keys() {
-        Some(done) => basis.difference(done).copied().collect(),
-        None => basis,
-    }
-}
-
-/// After removing entries for `key` at an incomplete state, drop the key
-/// from the pending set if the children can no longer produce anything for
-/// it (window expiry made the completion moot) — keeps the §4.3 counter
-/// converging under sliding windows.
-fn note_removal(p: &mut Pipeline, n: NodeId, key: Key) {
-    let st = &p.plan().node(n).state;
-    if st.is_complete() || st.counter().is_none() || !st.needs_completion(key) {
-        return;
-    }
-    let node = p.plan().node(n);
-    let (Some(l), Some(r)) = (node.left, node.right) else {
-        return;
-    };
-    // A child can be declared key-empty only if its own entries for the key
-    // are authoritative: an incomplete child that still needs completion for
-    // the key may be hiding entries it has not materialized yet.
-    let is_set_diff = matches!(node.op, OpKind::SetDiff);
-    let l_empty = !p.plan().node(l).state.needs_completion(key) && !p.state_contains_key(l, key);
-    let moot = if is_set_diff {
-        // Visible set is provably empty: no outer candidates, or an inner
-        // match positively suppresses the key.
-        l_empty || p.state_contains_key(r, key)
-    } else {
-        let r_empty =
-            !p.plan().node(r).state.needs_completion(key) && !p.state_contains_key(r, key);
-        l_empty || r_empty
-    };
-    if moot && p.plan_mut().node_mut(n).state.note_key_expired(key) {
-        on_state_completed(p, n);
-    }
+    // Keep the capacity, not the tuples: a parked clone would pin an
+    // expired tuple's memory until the next completion.
+    ls.clear();
+    rs.clear();
 }
 
 /// Perform a JISC plan transition on a running pipeline (§4.1, §4.5):
 /// buffer-clearing through the old plan, state adoption by signature with
 /// completeness carried over, and incomplete-state initialization (§4.3).
 pub fn jisc_transition(p: &mut Pipeline, new_spec: &PlanSpec) -> Result<()> {
-    let mut sem = JiscSemantics::default();
     // Safe transition: clear all input queues through the old plan first.
-    p.run_with(&mut sem);
+    p.run_with(&mut JiscSemantics::default());
     let new_plan = p.compile(new_spec)?;
     verify_same_query(p.plan(), &new_plan)?;
     verify_reorderable(&new_plan)?;

@@ -23,10 +23,10 @@
 //! `O(window share)` instead of `O(window share ^ height)` — the same
 //! asymmetry that makes the checkpoints in [`crate::recovery`] cheap.
 
-use jisc_common::{Key, KeyRange, Result};
+use jisc_common::{hash_key, Key, KeyRange, Result};
 use jisc_engine::{BaseRangeExport, Pipeline};
 
-use crate::jisc::{materialize_key, on_state_completed};
+use crate::jisc::materialize_key;
 use crate::migrate::is_binary;
 use crate::recovery::RecoveryMode;
 
@@ -55,7 +55,7 @@ pub fn extract_range(p: &mut Pipeline, ranges: &[KeyRange]) -> Result<BaseRangeE
             .state
             .prune_pending_in_ranges(ranges)
         {
-            on_state_completed(p, n);
+            p.on_state_completed(n);
         }
     }
     Ok(export)
@@ -94,12 +94,13 @@ pub fn install_range(p: &mut Pipeline, export: &BaseRangeExport, mode: RecoveryM
             // order into the slab states.
             let mut keys: Vec<Key> = export.keys.iter().copied().collect();
             keys.sort_unstable();
+            let mut scratch = Default::default();
             for n in order {
                 if !is_binary(p.plan(), n) {
                     continue;
                 }
                 for &k in &keys {
-                    materialize_key(p, n, k);
+                    materialize_key(p, n, hash_key(k), k, &mut scratch);
                 }
             }
         }

@@ -52,10 +52,15 @@ fn expiry_expires_exactly_what_serial_ingest_would() {
     let mut sem = JiscSemantics::default();
     warm(&mut pipe, &mut sem, 100, 3, 7);
     let removals_before = pipe.metrics.removals;
+    let windowed: usize = (0..3).map(|s| pipe.window_of(StreamId(s)).len()).sum();
     apply_event(&mut pipe, &mut sem, Event::Expiry(200)).unwrap();
     assert!(
         pipe.metrics.removals > removals_before,
         "a 30-tick window at watermark 200 must expire the warmup tuples"
+    );
+    assert_eq!(
+        pipe.kernels.expire.elements, windowed as u64,
+        "punctuation on a batchable plan runs the retraction kernel"
     );
     pipe.push_at_with(&mut sem, StreamId(0), 3, 999, 200)
         .unwrap();

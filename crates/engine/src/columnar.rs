@@ -25,8 +25,14 @@
 //!   *bulk-safe segments* — each segment's expiries provably commute with
 //!   its inserts (no expiring key collides with a segment insert, no
 //!   segment row expires mid-segment) and execute as one bulk
-//!   pops-then-inserts step. Only incomplete (mid-migration) state forces
-//!   the exact per-arrival row path;
+//!   pops-then-inserts step. Incomplete (mid-migration) states run the
+//!   same plan: every piece of completion bookkeeping is per (state, key),
+//!   so events on different keys commute there exactly as they do on
+//!   complete states (DESIGN §9, "Mid-migration batches");
+//! * **just-in-time completion is a column step**: a probe direction whose
+//!   probed state is incomplete hands its whole key column to
+//!   [`Semantics::complete_keys`] first, after which it takes the same
+//!   warmed probe loop as a complete state;
 //! * **nested-loop (KeyEq) probes and intra-batch pairing** evaluate the
 //!   join predicate over an entire delta column into a [`SelBitmap`]
 //!   (64 rows per word, branch-free) instead of scanning the state once
@@ -53,7 +59,7 @@ use jisc_common::{
 
 use crate::ops::DefaultSemantics;
 use crate::pipeline::{Pipeline, Semantics, DELTA_SCRATCH_CAP, INTRA_PAIR_KEYED_MIN};
-use crate::plan::{OpKind, Payload, QueueItem};
+use crate::plan::OpKind;
 use crate::predicate::Predicate;
 use crate::slab::WarmDepth;
 use crate::spec::WindowSpec;
@@ -241,8 +247,8 @@ enum BatchPlan {
     /// Expiry interleaves; execute as maximal bulk-safe segments, cutting
     /// where an expiring key collides with a segment insert.
     Segmented,
-    /// Clock violation, unknown stream, or mid-migration incomplete state:
-    /// run the exact per-arrival row path.
+    /// Clock violation or unknown stream: run the exact per-arrival row
+    /// path (it reproduces the serial-prefix state and the error).
     Fallback,
 }
 
@@ -293,7 +299,7 @@ impl Pipeline {
                 col.pops.clear();
                 col.pops.resize(self.catalog.len(), 0);
                 col.deferred_pops.clear();
-                self.commit_segment(sem, batch, &mut col, 0, batch.len());
+                self.commit_segment(batch, &mut col, 0, batch.len());
                 self.flush_columnar(sem, &mut col);
                 Ok(())
             }
@@ -301,18 +307,17 @@ impl Pipeline {
                 let mut start = 0;
                 while start < batch.len() {
                     let end = self.plan_segment(batch, start, &mut col);
-                    self.commit_segment(sem, batch, &mut col, start, end);
+                    self.commit_segment(batch, &mut col, start, end);
                     self.flush_columnar(sem, &mut col);
                     start = end;
                 }
-                self.drain_deferred(sem, &mut col);
+                self.drain_deferred(&mut col);
                 Ok(())
             }
             BatchPlan::Fallback => {
                 // Row-by-row deferred ingest: exact per-arrival window and
                 // clock semantics, including the serial-prefix state on
-                // error. Hot batches never land here; conflicting or
-                // malformed ones do.
+                // error. Only malformed batches land here.
                 let mut out = Ok(());
                 for i in 0..batch.len() {
                     if let Err(e) = self.ingest_deferred(sem, &batch.row(i)) {
@@ -335,7 +340,7 @@ impl Pipeline {
 
     /// Read-only planning pass: resolve every row's effective timestamp
     /// and classify the batch — bulk (no expiry interleaves), segmented
-    /// (expiry interleaves but state is complete), or row-path fallback.
+    /// (expiry interleaves), or row-path fallback (malformed batch).
     /// Mutates only `col` scratch.
     fn plan_batch(&self, batch: &ColumnarBatch, col: &mut ColScratch) -> BatchPlan {
         let n = batch.len();
@@ -399,15 +404,11 @@ impl Pipeline {
                 break;
             }
         }
-        if !expiry {
-            return BatchPlan::Bulk;
+        if expiry {
+            BatchPlan::Segmented
+        } else {
+            BatchPlan::Bulk
         }
-        if self.any_state_incomplete() {
-            // Completion bookkeeping does not commute with bulk removals;
-            // mid-migration batches that expire take the exact row path.
-            return BatchPlan::Fallback;
-        }
-        BatchPlan::Segmented
     }
 
     /// Greedy maximal bulk-safe segment starting at row `start`.
@@ -532,7 +533,6 @@ impl Pipeline {
     /// scan-node delta.
     fn commit_segment(
         &mut self,
-        sem: &mut impl Semantics,
         batch: &ColumnarBatch,
         col: &mut ColScratch,
         start: usize,
@@ -556,7 +556,7 @@ impl Pipeline {
             }
         }
         self.expired_scratch = expired;
-        self.run_removes(sem, col);
+        self.run_removes(col);
 
         // Sequential commit of the arrivals: clocks, freshness, window
         // rings, and the per-scan SoA deltas (hashes from the kernel
@@ -587,72 +587,58 @@ impl Pipeline {
 
     /// Run any removals still deferred after the final segment's flush
     /// (the batch is over, so nothing remains for them to wait on).
-    fn drain_deferred(&mut self, sem: &mut impl Semantics, col: &mut ColScratch) {
+    fn drain_deferred(&mut self, col: &mut ColScratch) {
         let mut expired = std::mem::take(&mut self.expired_scratch);
         expired.clear();
         expired.append(&mut col.pending_removes);
         self.expired_scratch = expired;
-        self.run_removes(sem, col);
+        self.run_removes(col);
     }
 
     /// Run the collected column of expired tuples (`self.expired_scratch`)
-    /// through removal propagation: the bulk retraction kernel when the
-    /// semantics' `Remove` handling is exactly the default one (see
-    /// [`Semantics::bulk_retract_ok`]), per-item enqueue and a run to
-    /// quiescence otherwise.
-    fn run_removes(&mut self, sem: &mut impl Semantics, col: &mut ColScratch) {
+    /// through the bulk retraction kernel — the one expiry path of the
+    /// columnar plane and of watermark punctuation on batchable plans.
+    pub(crate) fn run_removes(&mut self, col: &mut ColScratch) {
         if self.expired_scratch.is_empty() {
             return;
         }
         let t0 = Instant::now();
         let expired_n = self.expired_scratch.len() as u64;
         let mut expired = std::mem::take(&mut self.expired_scratch);
-        if sem.bulk_retract_ok(self) {
-            col.retract.iter_mut().for_each(Vec::clear);
-            if col.retract.len() < self.plan.len() {
-                col.retract.resize_with(self.plan.len(), Vec::new);
-            }
-            for old in expired.drain(..) {
-                let scan = self.plan.scan_of(old.stream).expect("validated stream");
-                col.retract[scan.0 as usize].push(RemoveItem {
-                    stream: old.stream,
-                    seq: old.seq,
-                    key: old.key,
-                    hash: hash_key(old.key),
-                });
-            }
-            self.retract_columnar(col);
-        } else {
-            for old in expired.drain(..) {
-                let old_scan = self.plan.scan_of(old.stream).expect("validated stream");
-                let old_fresh = self.fresh[old.stream.0 as usize]
-                    .get(&old.key)
-                    .is_none_or(|&s| s < self.last_transition_seq);
-                self.pending_items += 1;
-                self.plan.node_mut(old_scan).queue.push_back(QueueItem {
-                    from: None,
-                    payload: Payload::Remove {
-                        stream: old.stream,
-                        seq: old.seq,
-                        key: old.key,
-                        fresh: old_fresh,
-                    },
-                });
-            }
-            self.run_with(sem);
+        col.retract.iter_mut().for_each(Vec::clear);
+        if col.retract.len() < self.plan.len() {
+            col.retract.resize_with(self.plan.len(), Vec::new);
         }
+        for old in expired.drain(..) {
+            let scan = self.plan.scan_of(old.stream).expect("validated stream");
+            col.retract[scan.0 as usize].push(RemoveItem {
+                stream: old.stream,
+                seq: old.seq,
+                key: old.key,
+                hash: hash_key(old.key),
+            });
+        }
+        self.retract_columnar(col);
         self.expired_scratch = expired;
         self.kernels.expire.record(expired_n, t0.elapsed());
     }
 
     /// Node-major bulk retraction: drain `col.retract` in topo order,
-    /// replaying the default `Remove` walk — scans always forward the
-    /// clearing tuple, joins forward while entries were removed (or the
-    /// key is still pending completion), the root counts retractions —
-    /// without per-item queue dispatch. Exact only for semantics that
-    /// opted in via [`Semantics::bulk_retract_ok`]; the `fresh` flag a
-    /// queued `Remove` would carry is not materialized because the
-    /// default walk only threads it through unread.
+    /// replaying the `Remove` walk every batchable plan's semantics share —
+    /// scans always forward the clearing tuple, joins forward while entries
+    /// were removed or the key is still pending completion (§4.2: an
+    /// incomplete state cannot prove absence), the root counts retractions
+    /// — without per-item queue dispatch. The `fresh` flag a queued
+    /// `Remove` would carry is not materialized because the walk only
+    /// threads it through unread.
+    ///
+    /// On an incomplete state the §4.3 pending-key bookkeeping
+    /// ([`Pipeline::note_removal`]) runs *after* the node's forwarding
+    /// decisions: the kernel is node-major, so the children have already
+    /// lost every item of the column, and dropping a pending key before its
+    /// sibling items were forwarded would strand their entries in adopted
+    /// states above. Forwarding a superset is harmless (a `Remove` that
+    /// finds nothing removes nothing).
     fn retract_columnar(&mut self, col: &mut ColScratch) {
         for i in 0..self.plan.topo().len() {
             let id = self.plan.topo()[i];
@@ -675,6 +661,11 @@ impl Pipeline {
                         Some(par) => col.retract[par.0 as usize].push(*it),
                         None => self.output.retractions += 1,
                     }
+                }
+            }
+            if !self.plan.node(id).state.is_complete() {
+                for it in &items {
+                    self.note_removal(id, it.key);
                 }
             }
             items.clear();
@@ -778,14 +769,13 @@ impl Pipeline {
     /// Probe `state_node`'s pre-batch state with every entry of `src`,
     /// appending join results to `out`.
     ///
-    /// Complete states take the vectorized path: hash states are probed
-    /// element-major straight off the hash column (prefetched, no `Arc`
-    /// touched until a match); list/theta states are probed stored-major —
-    /// one [`eq_bitmap`] evaluation of the whole delta key column per
-    /// stored entry, replacing a full state scan per delta element.
-    /// Incomplete states (mid-migration) take the row path's element-major
-    /// loop with a [`Semantics::before_probe`] call per element, so
-    /// on-demand completion observes exactly the per-tuple order.
+    /// Hash states are probed element-major straight off the hash column
+    /// (group-prefetched, no `Arc` touched until a match); list/theta
+    /// states are probed stored-major — one [`eq_bitmap`] evaluation of the
+    /// whole delta key column per stored entry, replacing a full state scan
+    /// per delta element. An incomplete (mid-migration) state is first
+    /// handed the key column through [`Semantics::complete_keys`]; once
+    /// every probed key is complete there, it is probed like any other.
     #[allow(clippy::too_many_arguments)]
     fn probe_direction(
         &mut self,
@@ -801,10 +791,14 @@ impl Pipeline {
         if src.is_empty() {
             return;
         }
+        if !self.plan.node(state_node).state.is_complete() {
+            sem.complete_keys(self, state_node, &src.keys, &src.hashes);
+        }
         // Batch-aware just-in-time fault-back (tiered states): fault every
         // cold chain this direction's delta column will probe with one
-        // sequential read per touched segment, so both the vectorized and
-        // the row-exact probe loops below run against a hot-only store.
+        // sequential read per touched segment, so the probe loops below run
+        // against a hot-only store. After completion, whose inserts may
+        // themselves evict.
         if self.plan.node(state_node).state.cold_entries() > 0 {
             if nlj {
                 self.plan
@@ -825,40 +819,8 @@ impl Pipeline {
                 Tuple::joined(key, t.clone(), m.clone())
             }
         };
-        if !self.plan.node(state_node).state.is_complete() {
-            // Slow path: completion may mutate the probed state between
-            // elements; mirror the row path exactly.
-            let mut buf = self.take_probe_scratch();
-            for di in 0..src.len() {
-                let (key, h) = (src.keys[di], src.hashes[di]);
-                sem.before_probe(self, state_node, key);
-                buf.clear();
-                if nlj {
-                    self.scan_theta_state_into(
-                        state_node,
-                        Predicate::KeyEq,
-                        key,
-                        stored_is_left,
-                        &mut buf,
-                    );
-                } else {
-                    self.lookup_state_into_hashed(state_node, h, key, &mut buf);
-                }
-                for m in buf.drain(..) {
-                    out.push(
-                        key,
-                        h,
-                        src.fresh[di],
-                        src.max_seqs[di].max(m.max_seq()),
-                        join(key, &src.tuples[di], &m),
-                    );
-                }
-            }
-            self.recycle_probe_scratch(buf);
-            return;
-        }
-        // Fast path: the state cannot change during this direction (no
-        // completion, installs deferred to phase II), so borrow it once.
+        // The state cannot change during this direction (completion is
+        // done, installs are deferred to phase II), so borrow it once.
         let plan = &self.plan;
         let metrics = &mut self.metrics;
         let st = &plan.node(state_node).state;
@@ -1012,7 +974,7 @@ mod tests {
     #[test]
     fn columnar_matches_row_batches_hash_join_with_expiry() {
         // Window of 16 on a 3-way join: every batch of 64 expires plenty,
-        // exercising both the bulk-expiry plan and the fallback.
+        // exercising the segmented bulk-expiry plan and its cuts.
         let catalog = Catalog::uniform(&["R", "S", "T"], 16).unwrap();
         let spec = PlanSpec::left_deep(&["R", "S", "T"], JoinStyle::Hash);
         let arrivals = random_arrivals(3, 600, 8, 42);
@@ -1049,8 +1011,8 @@ mod tests {
             })
             .collect();
         // Batch of 64 spans ~192 ticks on average — wider than both
-        // windows, so most batches take the row fallback; batch 8 mostly
-        // stays bulk. Both must agree with pure row execution.
+        // windows, so most batches are cut into several segments; batch 8
+        // mostly stays bulk. Both must agree with pure row execution.
         for batch in [8, 64] {
             assert_equivalent(catalog.clone(), &spec, &arrivals, batch);
         }

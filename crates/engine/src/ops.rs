@@ -23,10 +23,6 @@ impl Semantics for DefaultSemantics {
     fn process(&mut self, p: &mut Pipeline, node: NodeId, item: QueueItem) {
         default_process(p, node, item);
     }
-
-    fn bulk_retract_ok(&self, _p: &Pipeline) -> bool {
-        true // these ARE the default semantics
-    }
 }
 
 /// Dispatch one queue item under default semantics.
@@ -78,53 +74,51 @@ pub fn process_join(p: &mut Pipeline, node: NodeId, item: QueueItem) {
         Payload::Insert { tuple, fresh } => {
             probe_and_emit_joins(p, node, item.from, tuple, fresh);
         }
+        removal => process_removal(p, node, removal),
+    }
+}
+
+/// `Remove` / `RemoveEntry` / `SuppressKey` at a join (or passing through a
+/// set-difference): purge the matching entries and propagate while matches
+/// are found (§2.1). §4.2: a state that still needs completion for the key
+/// cannot prove absence, so there the clearing-tuple continues upward
+/// regardless of a match — (adopted, complete) states above may still hold
+/// its entries. The per-key pending check is strictly tighter than the
+/// paper's fresh/attempted gate, which is unsound when the attempted
+/// arrival never completed this state (see `jisc_core::jisc`).
+pub fn process_removal(p: &mut Pipeline, node: NodeId, removal: Payload) {
+    let (removed, key) = match &removal {
         Payload::Remove {
-            stream,
-            seq,
-            key,
-            fresh,
-        } => {
-            let removed = p.state_remove_containing(node, stream, seq, key);
-            // §2.1: propagate while matches are found. §4.2: a state that
-            // still needs completion for this key cannot prove absence, so
-            // the clearing-tuple continues upward regardless of a match.
-            if removed > 0 || p.plan().node(node).state.needs_completion(key) {
-                p.forward_or_emit(
-                    node,
-                    Payload::Remove {
-                        stream,
-                        seq,
-                        key,
-                        fresh,
-                    },
-                );
-            }
+            stream, seq, key, ..
+        } => (p.state_remove_containing(node, *stream, *seq, *key), *key),
+        Payload::RemoveEntry { lineage, key, .. } => {
+            (p.state_remove_superset(node, lineage, *key), *key)
         }
-        Payload::RemoveEntry {
-            lineage,
-            key,
-            fresh,
-        } => {
-            let removed = p.state_remove_superset(node, &lineage, key);
-            if removed > 0 || p.plan().node(node).state.needs_completion(key) {
-                p.forward_or_emit(
-                    node,
-                    Payload::RemoveEntry {
-                        lineage,
-                        key,
-                        fresh,
-                    },
-                );
-            }
+        // A set-difference below suppressed every visible tuple with this
+        // key; any join result built from one of them must go.
+        Payload::SuppressKey { key, .. } => (p.state_remove_key(node, *key), *key),
+        Payload::Insert { .. } => unreachable!("inserts are joined, not removed"),
+    };
+    if !p.plan().node(node).state.needs_completion(key) {
+        if removed > 0 {
+            p.forward_or_emit(node, removal);
         }
-        Payload::SuppressKey { key, fresh } => {
-            // A set-difference below suppressed every visible tuple with
-            // this key; any join result built from one of them must go.
-            let removed = p.state_remove_key(node, key);
-            if removed > 0 || p.plan().node(node).state.needs_completion(key) {
-                p.forward_or_emit(node, Payload::SuppressKey { key, fresh });
-            }
-        }
+        return;
+    }
+    p.forward_or_emit(node, removal);
+    // §4.3 bookkeeping, by the retraction kernel's rule: the queues drain
+    // node-major, so the children have already lost every tuple of this
+    // expiry run. Dropping the pending key while another removal for it is
+    // still queued here would stop that one from being forwarded and strand
+    // its entries in the states above.
+    let more_queued = p.plan().node(node).queue.iter().any(|it| match it.payload {
+        Payload::Remove { key: k, .. }
+        | Payload::RemoveEntry { key: k, .. }
+        | Payload::SuppressKey { key: k, .. } => k == key,
+        Payload::Insert { .. } => false,
+    });
+    if !more_queued {
+        p.note_removal(node, key);
     }
 }
 

@@ -27,27 +27,33 @@ use crate::state::State;
 /// Implementations receive the whole pipeline so they can probe sibling
 /// states, insert results, and forward items. [`DefaultSemantics`] gives the
 /// paper's plain pipelined execution; migration strategies override it.
+///
+/// Window expiry on batchable plans (scans and equi-joins) does not go
+/// through [`Semantics::process`] when it comes from a columnar batch or a
+/// watermark: the retraction kernel (`crate::columnar`) replays the one
+/// `Remove` walk those operators have — remove the entries containing the
+/// tuple, forward while something was removed or the key is still pending
+/// completion — including the §4.3 pending-key bookkeeping
+/// ([`Pipeline::note_removal`]), which is a no-op on complete states.
 pub trait Semantics {
     /// Process one queue item at `node`.
     fn process(&mut self, p: &mut Pipeline, node: NodeId, item: QueueItem);
 
-    /// Hook called by the batched execution path immediately before a
-    /// delta tuple with `key` probes `state_node`'s state — the batched
-    /// counterpart of whatever per-item preparation `process` does before
-    /// probing the opposite state. The default is a no-op (plain
-    /// pipelining needs none); JISC semantics complete the probed key on
-    /// demand here.
-    fn before_probe(&mut self, _p: &mut Pipeline, _state_node: NodeId, _key: Key) {}
-
-    /// May the columnar path run window-expiry removals through its bulk
-    /// retraction kernel instead of per-item [`Semantics::process`] calls?
-    /// Return true only when this implementation's `Remove` handling is
-    /// exactly the default semantics' in the pipeline's current state —
-    /// the kernel replays the default removal walk (remove containing
-    /// entries, forward while matches are found) without consulting
-    /// `process`. The conservative default is false.
-    fn bulk_retract_ok(&self, _p: &Pipeline) -> bool {
-        false
+    /// Hook called by both batch planes once per probe direction whose
+    /// probed state is incomplete, before any delta tuple reads it — the
+    /// batched counterpart of whatever per-item preparation `process` does
+    /// before probing the opposite state. `keys`/`hashes` are the probing
+    /// delta's key column in probe order (duplicates included). The default
+    /// is a no-op (plain pipelining needs none); JISC semantics complete
+    /// every pending key of the column here, after which the probes read
+    /// the state like a complete one.
+    fn complete_keys(
+        &mut self,
+        _p: &mut Pipeline,
+        _state_node: NodeId,
+        _keys: &[Key],
+        _hashes: &[u64],
+    ) {
     }
 }
 
@@ -265,63 +271,8 @@ impl Pipeline {
 
         // Slide windows before recording the new arrival, so the expiring
         // tuples' freshness reflects arrivals strictly before this one.
-        // Count windows slide only on their own stream's arrivals; time
-        // windows are driven by the clock, so *every* time-windowed stream
-        // is aged on every arrival.
-        let mut expired = std::mem::take(&mut self.expired_scratch);
-        expired.clear();
-        if self.has_time_windows {
-            for i in 0..self.catalog.len() {
-                let s = StreamId(i as u16);
-                match self.catalog.window_spec(s) {
-                    WindowSpec::Count(w) => {
-                        if s != stream {
-                            continue;
-                        }
-                        let ring = &mut self.rings[i];
-                        if ring.len() == w {
-                            expired.push(ring.pop_front().expect("non-empty ring").1);
-                        }
-                    }
-                    WindowSpec::Time(d) => {
-                        // A tuple is inside the window while `ts - arrival < d`.
-                        let ring = &mut self.rings[i];
-                        while ring
-                            .front()
-                            .is_some_and(|(at, _)| ts.saturating_sub(*at) >= d)
-                        {
-                            expired.push(ring.pop_front().expect("non-empty ring").1);
-                        }
-                    }
-                }
-            }
-        } else if let WindowSpec::Count(w) = self.catalog.window_spec(stream) {
-            // Fast path: count windows slide only the arriving stream.
-            let ring = &mut self.rings[stream.0 as usize];
-            if ring.len() == w {
-                expired.push(ring.pop_front().expect("non-empty ring").1);
-            }
-        }
-        for old in expired.drain(..) {
-            let old_scan = self
-                .plan
-                .scan_of(old.stream)
-                .ok_or_else(|| JiscError::UnknownStream(format!("{}", old.stream)))?;
-            let old_fresh = self.fresh[old.stream.0 as usize]
-                .get(&old.key)
-                .is_none_or(|&s| s < self.last_transition_seq);
-            self.pending_items += 1;
-            self.plan.node_mut(old_scan).queue.push_back(QueueItem {
-                from: None,
-                payload: Payload::Remove {
-                    stream: old.stream,
-                    seq: old.seq,
-                    key: old.key,
-                    fresh: old_fresh,
-                },
-            });
-        }
-        self.expired_scratch = expired;
+        self.slide_windows(stream, ts);
+        self.enqueue_removes();
 
         let prev = self.fresh[stream.0 as usize].insert(key, seq);
         let fresh = prev.is_none_or(|s| s < self.last_transition_seq);
@@ -427,9 +378,9 @@ impl Pipeline {
     /// per-tuple result: the symmetric-join identity
     /// `(L+dl)(R+dr) − LR = dl·R + L·dr + dl·dr` accounts every join pair
     /// once. Window expiries landing mid-batch commute with pending
-    /// deferred inserts only when every expiring key is absent from the
-    /// run **and** no state is incomplete (mid-migration); otherwise the
-    /// run is flushed first, degrading toward per-tuple execution but
+    /// deferred inserts when every expiring key is absent from the run
+    /// (mid-migration too: completion bookkeeping is per key); otherwise
+    /// the run is flushed first, degrading toward per-tuple execution but
     /// never changing the answer. Non-batchable plans (set-difference,
     /// aggregation, non-`KeyEq` theta joins) and batches of one take the
     /// per-tuple path directly.
@@ -508,76 +459,23 @@ impl Pipeline {
         self.next_seq += 1;
         self.metrics.tuples_in += 1;
 
-        // Window slide, identical to [`Pipeline::ingest_at`].
-        let mut expired = std::mem::take(&mut self.expired_scratch);
-        expired.clear();
-        if self.has_time_windows {
-            for i in 0..self.catalog.len() {
-                let s = StreamId(i as u16);
-                match self.catalog.window_spec(s) {
-                    WindowSpec::Count(w) => {
-                        if s != t.stream {
-                            continue;
-                        }
-                        let ring = &mut self.rings[i];
-                        if ring.len() == w {
-                            expired.push(ring.pop_front().expect("non-empty ring").1);
-                        }
-                    }
-                    WindowSpec::Time(d) => {
-                        let ring = &mut self.rings[i];
-                        while ring
-                            .front()
-                            .is_some_and(|(at, _)| ts.saturating_sub(*at) >= d)
-                        {
-                            expired.push(ring.pop_front().expect("non-empty ring").1);
-                        }
-                    }
-                }
-            }
-        } else if let WindowSpec::Count(w) = self.catalog.window_spec(t.stream) {
-            let ring = &mut self.rings[t.stream.0 as usize];
-            if ring.len() == w {
-                expired.push(ring.pop_front().expect("non-empty ring").1);
-            }
-        }
-        if !expired.is_empty() {
+        self.slide_windows(t.stream, ts);
+        if !self.expired_scratch.is_empty() {
             // Removals of key k commute with pending deferred inserts of
-            // keys ≠ k only on equi-joins over *complete* states: the
-            // removed entry cannot match any pending insert, and no
-            // completion bookkeeping can change a Remove's forwarding
-            // decision. Any expiring key in the run, or any incomplete
-            // state anywhere, forces a flush first.
-            let commute = expired
+            // keys ≠ k on equi-joins: the removed entry cannot match any
+            // pending insert, and all completion bookkeeping is per
+            // (state, key), so a `Remove`'s forwarding decision never
+            // depends on another key's history — complete states or not.
+            // An expiring key present in the run forces a flush first.
+            let commute = self
+                .expired_scratch
                 .iter()
-                .all(|old| !self.batch_run_keys.contains(&old.key))
-                && !self.any_state_incomplete();
+                .all(|old| !self.batch_run_keys.contains(&old.key));
             if !commute {
                 self.flush_run(sem);
             }
-            for old in expired.drain(..) {
-                let old_scan = self
-                    .plan
-                    .scan_of(old.stream)
-                    .ok_or_else(|| JiscError::UnknownStream(format!("{}", old.stream)))?;
-                let old_fresh = self.fresh[old.stream.0 as usize]
-                    .get(&old.key)
-                    .is_none_or(|&s| s < self.last_transition_seq);
-                self.pending_items += 1;
-                self.plan.node_mut(old_scan).queue.push_back(QueueItem {
-                    from: None,
-                    payload: Payload::Remove {
-                        stream: old.stream,
-                        seq: old.seq,
-                        key: old.key,
-                        fresh: old_fresh,
-                    },
-                });
-            }
-            self.expired_scratch = expired;
+            self.enqueue_removes();
             self.run_with(sem);
-        } else {
-            self.expired_scratch = expired;
         }
 
         let prev = self.fresh[t.stream.0 as usize].insert(t.key, seq);
@@ -589,23 +487,72 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Is any state in the plan marked incomplete (mid-migration)?
-    pub(crate) fn any_state_incomplete(&self) -> bool {
-        !self.all_states_complete()
+    /// Slide the windows for an arrival on `stream` at `ts`, collecting
+    /// the tuples that fall out into `expired_scratch` (cleared first).
+    /// Count windows slide only on their own stream's arrivals; time
+    /// windows are driven by the clock, so *every* time-windowed stream is
+    /// aged on every arrival — a tuple is inside its window while
+    /// `ts - arrival < d`.
+    fn slide_windows(&mut self, stream: StreamId, ts: u64) {
+        self.expired_scratch.clear();
+        if self.has_time_windows {
+            self.expire_time_windows(ts);
+        }
+        if let WindowSpec::Count(w) = self.catalog.window_spec(stream) {
+            let ring = &mut self.rings[stream.0 as usize];
+            if ring.len() == w {
+                self.expired_scratch
+                    .push(ring.pop_front().expect("non-empty ring").1);
+            }
+        }
     }
 
-    /// Is every operator state complete (no in-flight migration debt)?
-    pub fn all_states_complete(&self) -> bool {
-        self.plan
-            .ids()
-            .all(|i| self.plan.node(i).state.is_complete())
+    /// Pop every tuple whose age reaches its stream's time window at `ts`
+    /// into `expired_scratch`, streams in catalog order.
+    fn expire_time_windows(&mut self, ts: u64) {
+        for i in 0..self.catalog.len() {
+            if let WindowSpec::Time(d) = self.catalog.window_spec(StreamId(i as u16)) {
+                let ring = &mut self.rings[i];
+                while ring
+                    .front()
+                    .is_some_and(|(at, _)| ts.saturating_sub(*at) >= d)
+                {
+                    self.expired_scratch
+                        .push(ring.pop_front().expect("non-empty ring").1);
+                }
+            }
+        }
+    }
+
+    /// Enqueue one `Remove` per tuple of `expired_scratch` at its stream's
+    /// scan node (draining the scratch) — the per-item expiry path of
+    /// per-tuple ingestion, the row-batch plane and non-batchable plans.
+    fn enqueue_removes(&mut self) {
+        let mut expired = std::mem::take(&mut self.expired_scratch);
+        for old in expired.drain(..) {
+            let scan = self.plan.scan_of(old.stream).expect("windowed stream");
+            let fresh = self.is_fresh(old.stream, old.key);
+            self.enqueue(
+                scan,
+                QueueItem {
+                    from: None,
+                    payload: Payload::Remove {
+                        stream: old.stream,
+                        seq: old.seq,
+                        key: old.key,
+                        fresh,
+                    },
+                },
+            );
+        }
+        self.expired_scratch = expired;
     }
 
     /// Execute the deferred run: compute every node's delta against the
     /// pre-run states (phase I), then install all deltas and emit at the
     /// root (phase II). The strict phase separation is what keeps JISC
     /// completion sound mid-batch — completion triggered by
-    /// [`Semantics::before_probe`] reads only pre-run child states, so it
+    /// [`Semantics::complete_keys`] reads only pre-run child states, so it
     /// materializes exactly the old-only combinations, while every delta
     /// entry contains at least one batch constituent; the two sets are
     /// lineage-disjoint and nothing is double-counted.
@@ -665,6 +612,7 @@ impl Pipeline {
             debug_assert!(li < idx && ri < idx, "children precede parent in arena");
             let (lower, upper) = deltas.split_at_mut(idx);
             let out = &mut upper[0];
+            self.complete_run_keys(sem, r, &lower[li]);
             // Batch-aware just-in-time fault-back (tiered states): fault
             // every cold chain this direction's delta will probe with one
             // sequential read per touched segment, so the probe loop below
@@ -686,7 +634,6 @@ impl Pipeline {
                 }
                 let (t, f, h) = lower[li][di].clone();
                 let key = t.key();
-                sem.before_probe(self, r, key);
                 buf.clear();
                 match pred {
                     Some(pr) => self.scan_theta_state_into(r, pr, key, false, &mut buf),
@@ -696,7 +643,9 @@ impl Pipeline {
                     out.push((Tuple::joined(key, t.clone(), m), f, h));
                 }
             }
-            // Same batch-aware prefault for the other direction.
+            // Same completion and batch-aware prefault for the other
+            // direction.
+            self.complete_run_keys(sem, l, &lower[ri]);
             if self.plan.node(l).state.cold_entries() > 0 {
                 match pred {
                     Some(_) => self.plan.node_mut(l).state.fault_in_all(&mut self.metrics),
@@ -713,7 +662,6 @@ impl Pipeline {
                 }
                 let (t, f, h) = lower[ri][di].clone();
                 let key = t.key();
-                sem.before_probe(self, l, key);
                 buf.clear();
                 match pred {
                     Some(pr) => self.scan_theta_state_into(l, pr, key, true, &mut buf),
@@ -795,6 +743,23 @@ impl Pipeline {
         self.batch_deltas = deltas;
     }
 
+    /// Row-plane call site of [`Semantics::complete_keys`]: hand the
+    /// semantics the key column of `delta` before it probes an incomplete
+    /// `state_node`.
+    fn complete_run_keys(
+        &mut self,
+        sem: &mut impl Semantics,
+        state_node: NodeId,
+        delta: &[(Tuple, bool, u64)],
+    ) {
+        if delta.is_empty() || self.plan.node(state_node).state.is_complete() {
+            return;
+        }
+        let keys: Vec<Key> = delta.iter().map(|(t, _, _)| t.key()).collect();
+        let hashes: Vec<u64> = delta.iter().map(|&(_, _, h)| h).collect();
+        sem.complete_keys(self, state_node, &keys, &hashes);
+    }
+
     // ----- punctuation -----
 
     /// Advance the watermark to `ts`: expire every tuple whose age reaches
@@ -817,40 +782,17 @@ impl Pipeline {
             )));
         }
         self.last_ts = ts;
-        let mut expired = std::mem::take(&mut self.expired_scratch);
-        expired.clear();
-        for i in 0..self.catalog.len() {
-            if let WindowSpec::Time(d) = self.catalog.window_spec(StreamId(i as u16)) {
-                let ring = &mut self.rings[i];
-                while ring
-                    .front()
-                    .is_some_and(|(at, _)| ts.saturating_sub(*at) >= d)
-                {
-                    expired.push(ring.pop_front().expect("non-empty ring").1);
-                }
-            }
+        self.expired_scratch.clear();
+        self.expire_time_windows(ts);
+        if self.plan.batchable() {
+            // Same retraction kernel as a columnar batch's expiry run.
+            let mut col = std::mem::take(&mut self.col);
+            self.run_removes(&mut col);
+            self.col = col;
+        } else {
+            self.enqueue_removes();
+            self.run_with(sem);
         }
-        for old in expired.drain(..) {
-            let old_scan = self
-                .plan
-                .scan_of(old.stream)
-                .ok_or_else(|| JiscError::UnknownStream(format!("{}", old.stream)))?;
-            let old_fresh = self.fresh[old.stream.0 as usize]
-                .get(&old.key)
-                .is_none_or(|&s| s < self.last_transition_seq);
-            self.pending_items += 1;
-            self.plan.node_mut(old_scan).queue.push_back(QueueItem {
-                from: None,
-                payload: Payload::Remove {
-                    stream: old.stream,
-                    seq: old.seq,
-                    key: old.key,
-                    fresh: old_fresh,
-                },
-            });
-        }
-        self.expired_scratch = expired;
-        self.run_with(sem);
         Ok(())
     }
 
@@ -1241,6 +1183,86 @@ impl Pipeline {
     /// Compile a spec against this pipeline's catalog (new-plan construction).
     pub fn compile(&self, spec: &PlanSpec) -> Result<Plan> {
         Plan::compile(&self.catalog, spec)
+    }
+
+    // ----- completion bookkeeping (§4.3) -----
+
+    /// §4.3 child-completion notification: when `n`'s state becomes
+    /// complete, a Case-3 parent whose other child is also complete can
+    /// finally resolve its pending set; completion may then cascade upward.
+    pub fn on_state_completed(&mut self, n: NodeId) {
+        let mut cur = n;
+        while let Some(par) = self.plan.node(cur).parent {
+            let parent = self.plan.node(par);
+            if parent.state.is_complete() || parent.state.counter().is_some() {
+                // Complete already, or Known pending that resolves by counter.
+                return;
+            }
+            let (Some(l), Some(r)) = (parent.left, parent.right) else {
+                return;
+            };
+            let (ls, rs) = (&self.plan.node(l).state, &self.plan.node(r).state);
+            if !(ls.is_complete() && rs.is_complete()) {
+                return;
+            }
+            // Residual pending keys: the counter basis of §4.3 (smaller
+            // child key set; outer keys for set-difference) minus keys
+            // already completed on demand. Keys fully handled by
+            // post-transition processing may linger in the residual; their
+            // later completion is a deduplicated no-op.
+            let basis = match parent.op {
+                OpKind::SetDiff => ls.distinct_keys(),
+                _ if ls.distinct_key_count() <= rs.distinct_key_count() => ls.distinct_keys(),
+                _ => rs.distinct_keys(),
+            };
+            let residual = match parent.state.completed_keys() {
+                Some(done) => basis.difference(done).copied().collect(),
+                None => basis,
+            };
+            if !self.plan.node_mut(par).state.resolve_case3(residual) {
+                return;
+            }
+            cur = par;
+        }
+    }
+
+    /// After removals for `key` passed through incomplete state `n`: drop
+    /// the key from the pending set if the children can no longer produce
+    /// anything for it (window expiry made the completion moot) — keeps the
+    /// §4.3 counter converging under sliding windows. Call it only once no
+    /// removal for `key` is still to be forwarded from `n` in the current
+    /// expiry run: a dropped key stops `needs_completion` from forwarding,
+    /// and the children have already lost *every* tuple of the run, so
+    /// dropping it between two same-key removals would strand the second
+    /// one's entries in (adopted, complete) states above.
+    pub fn note_removal(&mut self, n: NodeId, key: Key) {
+        let node = self.plan.node(n);
+        let st = &node.state;
+        if st.is_complete() || st.counter().is_none() || !st.needs_completion(key) {
+            return;
+        }
+        let (Some(l), Some(r)) = (node.left, node.right) else {
+            return;
+        };
+        let is_set_diff = matches!(node.op, OpKind::SetDiff);
+        // A child can be declared key-empty only if its own entries for the
+        // key are authoritative: an incomplete child that still needs
+        // completion for the key may be hiding entries it has not
+        // materialized yet.
+        let l_empty =
+            !self.plan.node(l).state.needs_completion(key) && !self.state_contains_key(l, key);
+        let moot = if is_set_diff {
+            // Visible set is provably empty: no outer candidates, or an
+            // inner match positively suppresses the key.
+            l_empty || self.state_contains_key(r, key)
+        } else {
+            let r_empty =
+                !self.plan.node(r).state.needs_completion(key) && !self.state_contains_key(r, key);
+            l_empty || r_empty
+        };
+        if moot && self.plan.node_mut(n).state.note_key_expired(key) {
+            self.on_state_completed(n);
+        }
     }
 
     // ----- recovery support -----
