@@ -1,12 +1,11 @@
-//! Throughput: serial pipeline vs batched ingest vs the key-partitioned
-//! sharded runtime.
+//! Throughput: serial pipeline vs columnar batched ingest vs the
+//! key-partitioned sharded runtime.
 //!
 //! The Figure-9 normal-operation workload (20-join plan, uniform arrivals,
-//! no transition in flight) driven four ways: a per-tuple serial JISC
-//! pipeline, the same pipeline over [`TupleBatch`]ed ingest at batch sizes
-//! 1, 64 and 256, the same cut points through the columnar
-//! [`ColumnarBatch`] kernel path, and [`ShardedExecutor`] at N = 1, 2, 4
-//! and 8 workers.
+//! no transition in flight) driven three ways: a per-tuple serial JISC
+//! pipeline, the same pipeline over [`ColumnarBatch`]ed ingest at batch
+//! sizes 1, 64 and 256, and [`ShardedExecutor`] at N = 1, 2, 4 and 8
+//! workers.
 //! Time windows are used so every configuration computes the identical
 //! result (count windows shard as per-shard quotas; see `Exactness`).
 //!
@@ -23,7 +22,7 @@
 
 use std::time::Instant;
 
-use jisc_common::{BatchedTuple, ColumnarBatch, StreamId, TupleBatch};
+use jisc_common::{ColumnarBatch, StreamId};
 use jisc_core::jisc::JiscSemantics;
 use jisc_engine::{Catalog, Pipeline, StreamDef};
 use jisc_runtime::shard::{ShardSemantics, ShardedExecutor};
@@ -54,7 +53,6 @@ const REPS: usize = 5;
 #[derive(Clone, Copy)]
 enum Group {
     Serial,
-    Batched(usize),
     Columnar(usize),
     Sharded(usize),
 }
@@ -111,37 +109,9 @@ pub fn throughput(scale: Scale) -> Table {
         }),
     ));
 
-    // Batched serial ingest: same pipeline and semantics, data delivered in
-    // TupleBatches so the symmetric joins probe a whole run of tuples
-    // against old state before interleaving inserts.
-    for bs in BATCH_SIZES {
-        configs.push((
-            format!("batched B={bs}"),
-            Group::Batched(bs),
-            Box::new(move || {
-                let mut pipe = Pipeline::new(catalog.clone(), &scenario.initial).expect("pipeline");
-                let mut sem = JiscSemantics::default();
-                let mut batch = TupleBatch::new(bs);
-                for a in arrivals {
-                    batch
-                        .push(BatchedTuple::new(StreamId(a.stream), a.key, a.payload))
-                        .expect("batch cut on full");
-                    if batch.is_full() {
-                        pipe.push_batch_with(&mut sem, &batch).expect("push batch");
-                        batch.clear();
-                    }
-                }
-                if !batch.is_empty() {
-                    pipe.push_batch_with(&mut sem, &batch).expect("push batch");
-                }
-                pipe.output.count()
-            }),
-        ));
-    }
-
-    // Columnar ingest: identical cut points, data shipped as ColumnarBatch
-    // through the vectorized kernel path (whole-column hashing, pre-hashed
-    // probes, SoA delta install).
+    // Columnar ingest: same pipeline and semantics, data shipped as
+    // ColumnarBatch through the vectorized kernel path (whole-column
+    // hashing, pre-hashed probes, SoA delta install).
     for bs in BATCH_SIZES {
         configs.push((
             format!("columnar B={bs}"),
@@ -222,7 +192,6 @@ pub fn throughput(scale: Scale) -> Table {
          physical cores; beyond that, added shards only add queue overhead",
         &["config", "tuples/sec", "speedup vs serial", "outputs"],
     );
-    let mut batched_json_rows = Vec::new();
     let mut columnar_json_rows = Vec::new();
     let mut sharded_json_rows = Vec::new();
     for (ci, (name, group, _)) in configs.iter().enumerate() {
@@ -236,9 +205,6 @@ pub fn throughput(scale: Scale) -> Table {
         ]);
         match group {
             Group::Serial => {}
-            Group::Batched(bs) => batched_json_rows.push(format!(
-                "    {{\"batch_size\": {bs}, \"tuples_per_sec\": {tps:.0}, \"speedup\": {speedup:.3}}}"
-            )),
             Group::Columnar(bs) => columnar_json_rows.push(format!(
                 "    {{\"batch_size\": {bs}, \"tuples_per_sec\": {tps:.0}, \"speedup\": {speedup:.3}}}"
             )),
@@ -251,10 +217,9 @@ pub fn throughput(scale: Scale) -> Table {
     let json = format!(
         "{{\n  \"experiment\": \"throughput\",\n  \"cores\": {cores},\n  \
          \"tuples\": {total},\n  \"joins\": {JOINS},\n  \
-         \"serial_tuples_per_sec\": {serial_tps:.0},\n  \"batched\": [\n{}\n  ],\n  \
+         \"serial_tuples_per_sec\": {serial_tps:.0},\n  \
          \"columnar\": [\n{}\n  ],\n  \
          \"sharded\": [\n{}\n  ]\n}}\n",
-        batched_json_rows.join(",\n"),
         columnar_json_rows.join(",\n"),
         sharded_json_rows.join(",\n")
     );

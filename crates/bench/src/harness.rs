@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 
-use jisc_common::{BatchedTuple, Event, StreamId, TupleBatch};
+use jisc_common::{ColumnarBatch, Event, StreamId};
 use jisc_core::{AdaptiveEngine, Strategy};
 use jisc_eddy::{CacqExec, MJoinExec};
 use jisc_engine::{Catalog, JoinStyle, PlanSpec};
@@ -49,7 +49,7 @@ pub fn engine_for(scenario: &Scenario, window: usize, strategy: Strategy) -> Ada
 /// Default data-plane batch size for experiment drives.
 pub const INGEST_BATCH: usize = 64;
 
-/// Push a slice of arrivals through an engine as [`TupleBatch`]es of
+/// Push a slice of arrivals through an engine as [`ColumnarBatch`]es of
 /// [`INGEST_BATCH`] (panics on engine error — experiment configurations
 /// are trusted).
 pub fn push_all(e: &mut AdaptiveEngine, arrivals: &[Arrival]) {
@@ -58,18 +58,18 @@ pub fn push_all(e: &mut AdaptiveEngine, arrivals: &[Arrival]) {
 
 /// Push a slice of arrivals with an explicit batch size.
 pub fn push_all_batched(e: &mut AdaptiveEngine, arrivals: &[Arrival], batch_size: usize) {
-    let mut batch = TupleBatch::new(batch_size);
+    let mut batch = ColumnarBatch::new(batch_size);
     for a in arrivals {
         batch
-            .push(BatchedTuple::new(StreamId(a.stream), a.key, a.payload))
+            .push(StreamId(a.stream), a.key, a.payload)
             .expect("batch cut on full");
         if batch.is_full() {
-            e.push_batch(&batch).expect("push batch");
+            e.push_columnar(&batch).expect("push batch");
             batch.clear();
         }
     }
     if !batch.is_empty() {
-        e.push_batch(&batch).expect("push batch");
+        e.push_columnar(&batch).expect("push batch");
     }
 }
 
@@ -86,11 +86,11 @@ pub fn drive_with_schedule(
     let t0 = Instant::now();
     let mut next = 0;
     let transitions = schedule.transitions();
-    let mut batch = TupleBatch::new(INGEST_BATCH);
+    let mut batch = ColumnarBatch::new(INGEST_BATCH);
     for (i, a) in arrivals.iter().enumerate() {
         while next < transitions.len() && transitions[next].0 == i {
             if !batch.is_empty() {
-                e.push_batch(&batch).expect("push batch");
+                e.push_columnar(&batch).expect("push batch");
                 batch.clear();
             }
             e.on_event(Event::MigrationBarrier(transitions[next].1.clone()))
@@ -98,15 +98,15 @@ pub fn drive_with_schedule(
             next += 1;
         }
         batch
-            .push(BatchedTuple::new(StreamId(a.stream), a.key, a.payload))
+            .push(StreamId(a.stream), a.key, a.payload)
             .expect("batch cut on full");
         if batch.is_full() {
-            e.push_batch(&batch).expect("push batch");
+            e.push_columnar(&batch).expect("push batch");
             batch.clear();
         }
     }
     if !batch.is_empty() {
-        e.push_batch(&batch).expect("push batch");
+        e.push_columnar(&batch).expect("push batch");
     }
     t0.elapsed()
 }

@@ -1,14 +1,11 @@
 //! Columnar (structure-of-arrays) tuple batches and selection bitmaps.
 //!
-//! [`TupleBatch`](crate::TupleBatch) stores a batch as `Vec<BatchedTuple>` —
-//! row-major, so a kernel that only needs the key column still walks 40-byte
-//! strides and the per-element dispatch cost caps batching gains. A
-//! [`ColumnarBatch`] stores the same run of tuples as dense parallel columns
-//! (stream, key, payload, timestamp, sequence number), which is what the
-//! vectorized kernels in [`crate::kernels`] operate on: whole-column key
-//! hashing, predicate evaluation into [`SelBitmap`]s, and shard routing all
-//! become tight loops over contiguous `u64`s that the compiler unrolls and
-//! auto-vectorizes.
+//! A [`ColumnarBatch`] — the data plane's one batch type — stores a run of
+//! tuples as dense parallel columns (stream, key, payload, timestamp,
+//! sequence number), which is what the vectorized kernels in
+//! [`crate::kernels`] operate on: whole-column key hashing, predicate
+//! evaluation into [`SelBitmap`]s, and shard routing all become tight loops
+//! over contiguous `u64`s that the compiler unrolls and auto-vectorizes.
 //!
 //! Conventions:
 //!
@@ -205,10 +202,8 @@ impl PayloadArena {
 ///
 /// Row `i` of the batch is `(streams[i], keys[i], payloads[i])` plus an
 /// optional pinned timestamp / sequence number (see the module docs for the
-/// validity-mask convention). Equivalent to a [`TupleBatch`](crate::TupleBatch)
-/// with the same rows — [`ColumnarBatch::row`] reconstructs any row, and
-/// with the `shim` feature whole-batch conversions exist in both directions
-/// so row-based producers migrate incrementally.
+/// validity-mask convention); [`ColumnarBatch::row`] reconstructs any row
+/// in the row model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnarBatch {
     streams: Vec<StreamId>,
@@ -393,44 +388,6 @@ impl ColumnarBatch {
     }
 }
 
-/// Row ↔ column conversion shims (feature `shim`, on by default): row-based
-/// producers — the eddy executors, hand-built tests — convert at the batch
-/// boundary and migrate incrementally.
-#[cfg(feature = "shim")]
-mod shim {
-    use super::ColumnarBatch;
-    use crate::event::TupleBatch;
-
-    impl ColumnarBatch {
-        /// Columnarize a row batch (same rows, same capacity).
-        pub fn from_rows(batch: &TupleBatch) -> Self {
-            let mut out = ColumnarBatch::new(batch.capacity());
-            for t in batch.items() {
-                out.push_stamped(t.stream, t.key, t.payload, t.ts, t.seq)
-                    .expect("capacities match");
-            }
-            out
-        }
-
-        /// Materialize this batch in the row model (same rows, same
-        /// capacity).
-        pub fn to_rows(&self) -> TupleBatch {
-            let mut out = TupleBatch::new(self.capacity());
-            for i in 0..self.len() {
-                out.push(self.row(i)).expect("capacities match");
-            }
-            out
-        }
-    }
-
-    impl TupleBatch {
-        /// Columnarize this batch (same rows, same capacity).
-        pub fn to_columnar(&self) -> ColumnarBatch {
-            ColumnarBatch::from_rows(self)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,27 +482,4 @@ mod tests {
         assert_eq!(b.blob(b.payloads()[0]), b"reading-42.5C");
         assert_eq!(b.blob(b.payloads()[1]), b"ok");
     }
-
-    #[cfg(feature = "shim")]
-    #[test]
-    fn row_columnar_roundtrip() {
-        let mut rows = TupleBatch::new(4);
-        rows.push(BatchedTuple::new(StreamId(0), 1, 10)).unwrap();
-        rows.push(BatchedTuple {
-            stream: StreamId(1),
-            key: 2,
-            payload: 20,
-            ts: Some(7),
-            seq: Some(3),
-        })
-        .unwrap();
-        let col = rows.to_columnar();
-        assert_eq!(col.len(), 2);
-        assert_eq!(col.row(0), rows.items()[0]);
-        assert_eq!(col.row(1), rows.items()[1]);
-        assert_eq!(col.to_rows(), rows);
-    }
-
-    #[cfg(feature = "shim")]
-    use crate::event::TupleBatch;
 }

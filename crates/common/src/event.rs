@@ -2,7 +2,7 @@
 //!
 //! Everything that flows through an executor — data, watermarks, control —
 //! is one ordered stream of [`Event`]s. Data moves in capacity-bounded
-//! [`TupleBatch`]es so per-arrival dispatch cost is amortized; migration
+//! [`ColumnarBatch`]es so per-arrival dispatch cost is amortized; migration
 //! and expiry ride the same stream as punctuation, which is what lets the
 //! serial and sharded runtimes share a single migration code path.
 //!
@@ -13,9 +13,10 @@
 use crate::columnar::ColumnarBatch;
 use crate::tuple::{Key, SeqNo, StreamId};
 
-/// Error returned by [`TupleBatch::push`] (and the columnar pushes) when
-/// the batch is already at capacity: the producer should cut the batch
-/// (ship it, clear it) and retry.
+/// Error returned by [`ColumnarBatch::push`] (and its stamped/blob
+/// variants) when the batch is already at capacity: the producer should
+/// cut the batch (ship it, clear it) and retry — over-capacity is a normal
+/// flow-control condition, not a programming error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchFull;
 
@@ -27,7 +28,8 @@ impl std::fmt::Display for BatchFull {
 
 impl std::error::Error for BatchFull {}
 
-/// One tuple as it appears inside a [`TupleBatch`].
+/// One row of a [`ColumnarBatch`] in the row model, as
+/// [`ColumnarBatch::row`] returns it.
 ///
 /// `ts` and `seq` are optional overrides: `None` means "assign from the
 /// consumer's own clock / sequence counter" (the serial default), while
@@ -47,115 +49,18 @@ pub struct BatchedTuple {
     pub seq: Option<SeqNo>,
 }
 
-impl BatchedTuple {
-    /// A tuple with consumer-assigned timestamp and sequence number.
-    pub fn new(stream: StreamId, key: Key, payload: u64) -> Self {
-        BatchedTuple {
-            stream,
-            key,
-            payload,
-            ts: None,
-            seq: None,
-        }
-    }
-}
-
-/// A capacity-bounded run of tuples, the row-model data-plane unit of work
-/// (see [`ColumnarBatch`] for the columnar form the vectorized kernels
-/// consume).
-///
-/// The capacity is fixed at construction; [`push`](TupleBatch::push) past
-/// it returns [`BatchFull`] (callers cut a new batch and retry).
-/// [`clear`](TupleBatch::clear) keeps the allocation so a producer can
-/// reuse one batch as a scratch buffer, same discipline as the pipeline's
-/// probe scratch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TupleBatch {
-    items: Vec<BatchedTuple>,
-    capacity: usize,
-}
-
-impl TupleBatch {
-    /// An empty batch holding at most `capacity` tuples (min 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        TupleBatch {
-            items: Vec::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// A batch of exactly one tuple.
-    pub fn of_one(t: BatchedTuple) -> Self {
-        let mut b = TupleBatch::new(1);
-        b.push_unchecked(t);
-        b
-    }
-
-    /// The fixed capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of tuples currently in the batch.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the batch holds no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Whether the batch is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.items.len() >= self.capacity
-    }
-
-    /// Append a tuple, or report [`BatchFull`] when at capacity so the
-    /// producer can cut the batch and retry — over-capacity is a normal
-    /// flow-control condition, not a programming error.
-    pub fn push(&mut self, t: BatchedTuple) -> Result<(), BatchFull> {
-        if self.is_full() {
-            return Err(BatchFull);
-        }
-        self.items.push(t);
-        Ok(())
-    }
-
-    /// Append a tuple the caller has already proven fits (checked in debug
-    /// builds only). The hot scratch-reuse path — flush on full, then push —
-    /// uses this to skip the redundant branch.
-    pub fn push_unchecked(&mut self, t: BatchedTuple) {
-        debug_assert!(!self.is_full(), "TupleBatch over capacity");
-        self.items.push(t);
-    }
-
-    /// The tuples, in arrival order.
-    pub fn items(&self) -> &[BatchedTuple] {
-        &self.items
-    }
-
-    /// Empty the batch, keeping its allocation.
-    pub fn clear(&mut self) {
-        self.items.clear();
-    }
-}
-
 /// One element of the unified event stream.
 ///
 /// Consumers process events strictly in order; the variants are:
-// Batch variants dwarf the punctuation variants, but events are moved
+// The batch variant dwarfs the punctuation variants, but events are moved
 // through queues one at a time, never stored densely — boxing would cost
 // an allocation per batch on the hot ingest path for no locality gain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(clippy::large_enum_variant)]
 pub enum Event<P> {
-    /// A run of data tuples in the row model.
-    Batch(TupleBatch),
-    /// A run of data tuples in columnar (SoA) layout — same semantics as
-    /// [`Event::Batch`] with the same rows, but consumers probe it through
-    /// the vectorized kernel path.
+    /// A run of data tuples in columnar (SoA) layout, equivalent to
+    /// ingesting its rows one at a time in order; consumers probe it
+    /// through the vectorized kernel path.
     Columnar(ColumnarBatch),
     /// Watermark punctuation: expire every tuple older than the window
     /// allows at time `ts`, exactly as a serial ingest at `ts` would.
@@ -188,11 +93,11 @@ mod tests {
 
     #[test]
     fn batch_capacity_is_enforced() {
-        let mut b = TupleBatch::new(2);
+        let mut b = ColumnarBatch::new(2);
         assert!(b.is_empty());
-        b.push(BatchedTuple::new(StreamId(0), 1, 0)).unwrap();
+        b.push(StreamId(0), 1, 0).unwrap();
         assert!(!b.is_full());
-        b.push(BatchedTuple::new(StreamId(1), 2, 0)).unwrap();
+        b.push(StreamId(1), 2, 0).unwrap();
         assert!(b.is_full());
         assert_eq!(b.len(), 2);
         b.clear();
@@ -202,17 +107,15 @@ mod tests {
 
     #[test]
     fn batch_push_past_capacity_errors() {
-        let mut b = TupleBatch::new(1);
-        b.push(BatchedTuple::new(StreamId(0), 1, 0)).unwrap();
-        assert_eq!(b.push(BatchedTuple::new(StreamId(0), 2, 0)), Err(BatchFull));
-        assert_eq!(b.len(), 1, "failed push leaves the batch unchanged");
-    }
-
-    #[test]
-    fn batch_of_one() {
-        let b = TupleBatch::of_one(BatchedTuple::new(StreamId(3), 7, 9));
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.items()[0].key, 7);
-        assert_eq!(b.items()[0].ts, None);
+        let mut b = ColumnarBatch::new(1);
+        b.push(StreamId(0), 1, 0).unwrap();
+        let before = b.clone();
+        assert_eq!(b.push(StreamId(0), 2, 0), Err(BatchFull));
+        assert_eq!(
+            b.push_stamped(StreamId(0), 2, 0, Some(3), Some(4)),
+            Err(BatchFull)
+        );
+        assert_eq!(b.push_blob(StreamId(0), 2, b"x"), Err(BatchFull));
+        assert_eq!(b, before, "failed pushes leave the batch unchanged");
     }
 }

@@ -3,7 +3,7 @@
 //! This crate holds the data model and utilities every other crate builds on:
 //!
 //! * [`mod@tuple`] — base and joined (composite) tuples with lineage,
-//! * [`event`] — the unified in-band event model ([`Event`], [`TupleBatch`]),
+//! * [`event`] — the unified in-band event model ([`Event`], [`BatchedTuple`]),
 //! * [`columnar`] — columnar (SoA) batches, selection bitmaps, payload arenas,
 //! * [`kernels`] — vectorized whole-column kernels (hash, predicate, shard),
 //! * [`hash`] — a fast Fx-style hasher and map/set aliases,
@@ -29,7 +29,7 @@ pub mod tuple;
 
 pub use columnar::{ColumnarBatch, PayloadArena, SelBitmap};
 pub use error::{JiscError, Result};
-pub use event::{BatchFull, BatchedTuple, Event, TupleBatch};
+pub use event::{BatchFull, BatchedTuple, Event};
 pub use fault::WorkerFault;
 pub use hash::{hash_key, shard_of, FxHashMap, FxHashSet, FxHasher};
 pub use lineage::Lineage;

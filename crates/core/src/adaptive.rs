@@ -1,6 +1,6 @@
 //! The public facade: one engine, pluggable migration strategy.
 
-use jisc_common::{Event, Key, Metrics, Result, StreamId, TupleBatch};
+use jisc_common::{ColumnarBatch, Event, Key, Metrics, Result, StreamId};
 use jisc_engine::{BaseStateSnapshot, Catalog, OutputSink, PlanSpec};
 use serde::{Deserialize, Serialize};
 
@@ -102,17 +102,9 @@ impl AdaptiveEngine {
         }
     }
 
-    /// Process a whole batch of arrivals to quiescence.
-    pub fn push_batch(&mut self, batch: &TupleBatch) -> Result<()> {
-        match &mut self.inner {
-            Inner::Jisc(e) => e.push_batch(batch),
-            Inner::Ms(e) => e.push_batch(batch),
-            Inner::Pt(e) => e.push_batch(batch),
-        }
-    }
-
-    /// Process a whole columnar batch through the vectorized kernel path.
-    pub fn push_columnar(&mut self, batch: &jisc_common::ColumnarBatch) -> Result<()> {
+    /// Process a whole columnar batch to quiescence through the vectorized
+    /// kernel path.
+    pub fn push_columnar(&mut self, batch: &ColumnarBatch) -> Result<()> {
         match &mut self.inner {
             Inner::Jisc(e) => e.push_columnar(batch),
             Inner::Ms(e) => e.push_columnar(batch),

@@ -27,7 +27,7 @@
 //!
 //! ### Granularity: completion by column
 //!
-//! Procedures 2 and 3 are stated per key. Both batch planes probe a state
+//! Procedures 2 and 3 are stated per key. The columnar flush probes a state
 //! with a whole *column* of keys at once, so completion runs column-shaped
 //! too ([`Semantics::complete_keys`]): the still-pending keys of the column
 //! are completed **level-major** — every key at the lowest plan level
@@ -43,8 +43,9 @@
 //! Everything this module keeps is keyed by *(state, key)*: the pending
 //! sets, the completed sets of Case 3, the entries a completion
 //! materializes. Events on different keys therefore commute while states
-//! are incomplete exactly as they do on complete ones, and the batch planes
-//! run their usual pops-then-inserts plan through a migration (DESIGN §9).
+//! are incomplete exactly as they do on complete ones, and the columnar
+//! flush runs its usual pops-then-inserts plan through a migration (DESIGN
+//! §9).
 //! Two things make a reordering safe rather than merely plausible:
 //! `needs_completion` may be spuriously *true* — the price is a
 //! deduplicated no-op completion, or a `Remove` forwarded to find nothing —
@@ -55,7 +56,7 @@
 //! ordering rule on every path: a pending key is dropped only after every
 //! removal for it in the current expiry run has been forwarded.
 
-use jisc_common::{hash_key, Event, FxHashSet, Key, Lineage, Result, Tuple, TupleBatch};
+use jisc_common::{hash_key, ColumnarBatch, Event, FxHashSet, Key, Lineage, Result, Tuple};
 use jisc_engine::ops;
 use jisc_engine::{
     NodeId, OpKind, Payload, Pipeline, PlanSpec, QueueItem, Semantics, Signature, WarmDepth,
@@ -516,7 +517,7 @@ impl EventSemantics for jisc_engine::DefaultSemantics {
 }
 
 /// Apply one in-band event to a pipeline: the single consumption path for
-/// the unified event stream. `Batch` runs the batched ingest,
+/// the unified event stream. `Columnar` runs the batched ingest,
 /// `Expiry` advances the watermark, `MigrationBarrier` performs the
 /// semantics' plan transition, and `Flush` drains all operator queues.
 pub fn apply_event<S: EventSemantics>(
@@ -525,7 +526,6 @@ pub fn apply_event<S: EventSemantics>(
     ev: Event<PlanSpec>,
 ) -> Result<()> {
     match ev {
-        Event::Batch(batch) => p.push_batch_with(sem, &batch),
         Event::Columnar(batch) => p.push_columnar_with(sem, &batch),
         Event::Expiry(ts) => p.advance_watermark_with(sem, ts),
         Event::Watermark(ts) => p.apply_watermark_with(sem, ts),
@@ -593,13 +593,9 @@ impl JiscExec {
             .push_at_with(&mut self.sem, stream, key, payload, ts)
     }
 
-    /// Process a whole batch of arrivals to quiescence.
-    pub fn push_batch(&mut self, batch: &TupleBatch) -> Result<()> {
-        self.pipe.push_batch_with(&mut self.sem, batch)
-    }
-
-    /// Process a whole columnar batch through the vectorized kernel path.
-    pub fn push_columnar(&mut self, batch: &jisc_common::ColumnarBatch) -> Result<()> {
+    /// Process a whole columnar batch to quiescence through the vectorized
+    /// kernel path.
+    pub fn push_columnar(&mut self, batch: &ColumnarBatch) -> Result<()> {
         self.pipe.push_columnar_with(&mut self.sem, batch)
     }
 

@@ -7,7 +7,7 @@
 //! halt shows up as a burst of work inside [`MovingStateExec::transition_to`]
 //! and as the large armed-latency mark the paper plots in Figure 10.
 
-use jisc_common::{ColumnarBatch, Event, FxHashSet, Key, Result, StreamId, TupleBatch};
+use jisc_common::{ColumnarBatch, Event, FxHashSet, Key, Result, StreamId};
 use jisc_engine::{Catalog, DefaultSemantics, Pipeline, PlanSpec, Signature};
 
 use crate::migrate::{build_state_eagerly, is_binary, verify_reorderable, verify_same_query};
@@ -42,11 +42,6 @@ impl MovingStateExec {
         self.pipe.push_at(stream, key, payload, ts)
     }
 
-    /// Process a whole batch of arrivals to quiescence.
-    pub fn push_batch(&mut self, batch: &TupleBatch) -> Result<()> {
-        self.pipe.push_batch(batch)
-    }
-
     /// Process a whole columnar batch through the vectorized kernel path.
     pub fn push_columnar(&mut self, batch: &ColumnarBatch) -> Result<()> {
         self.pipe.push_columnar(batch)
@@ -56,7 +51,6 @@ impl MovingStateExec {
     /// strategy's eager halt-and-rebuild transition.
     pub fn on_event(&mut self, ev: Event<PlanSpec>) -> Result<()> {
         match ev {
-            Event::Batch(batch) => self.push_batch(&batch),
             Event::Columnar(batch) => self.push_columnar(&batch),
             Event::Expiry(ts) => self.pipe.advance_watermark_with(&mut DefaultSemantics, ts),
             Event::Watermark(ts) => self.pipe.apply_watermark_with(&mut DefaultSemantics, ts),

@@ -8,7 +8,9 @@
 //! transitions stack additional plans, degrading throughput further — the
 //! behaviour §5.1.2 criticizes and Figure 11/12 measure.
 
-use jisc_common::{Event, FxHashSet, Key, Lineage, Metrics, Result, SeqNo, StreamId, TupleBatch};
+use jisc_common::{
+    ColumnarBatch, Event, FxHashSet, Key, Lineage, Metrics, Result, SeqNo, StreamId,
+};
 use jisc_engine::{Catalog, DefaultSemantics, OutputSink, Pipeline, PlanSpec};
 
 use crate::migrate::{verify_reorderable, verify_same_query};
@@ -105,26 +107,11 @@ impl ParallelTrackExec {
         Ok(())
     }
 
-    /// Process a whole batch through every running plan, merging outputs
-    /// once per batch (the merge itself amortizes too) and counting every
-    /// batch tuple toward the discard-sweep cadence.
-    pub fn push_batch(&mut self, batch: &TupleBatch) -> Result<()> {
-        for t in &mut self.tracks {
-            t.pipe.push_batch(batch)?;
-        }
-        self.merge_outputs();
-        self.since_check += batch.len() as u64;
-        if self.tracks.len() > 1 && self.since_check >= self.check_period {
-            self.since_check = 0;
-            self.discard_sweep();
-        }
-        Ok(())
-    }
-
     /// Process a whole columnar batch through every running plan via the
-    /// vectorized kernel path (same merge and sweep cadence as
-    /// [`ParallelTrackExec::push_batch`]).
-    pub fn push_columnar(&mut self, batch: &jisc_common::ColumnarBatch) -> Result<()> {
+    /// vectorized kernel path, merging outputs once per batch (the merge
+    /// itself amortizes too) and counting every batch tuple toward the
+    /// discard-sweep cadence.
+    pub fn push_columnar(&mut self, batch: &ColumnarBatch) -> Result<()> {
         for t in &mut self.tracks {
             t.pipe.push_columnar(batch)?;
         }
@@ -141,7 +128,6 @@ impl ParallelTrackExec {
     /// parallel track.
     pub fn on_event(&mut self, ev: Event<PlanSpec>) -> Result<()> {
         match ev {
-            Event::Batch(batch) => self.push_batch(&batch),
             Event::Columnar(batch) => self.push_columnar(&batch),
             Event::Expiry(ts) => {
                 for t in &mut self.tracks {

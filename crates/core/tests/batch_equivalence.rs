@@ -4,14 +4,14 @@
 //! Random multi-stream scenarios — count and time windows, with mid-stream
 //! migrations at random points — are run twice per strategy: once pushing
 //! every arrival individually, once through the unified event stream in
-//! [`TupleBatch`]es of size 1, 7, 64 and 256. Migration points rarely fall
+//! [`ColumnarBatch`]es of size 1, 7, 64 and 256. Migration points rarely fall
 //! on a batch boundary, so the [`Event::MigrationBarrier`] routinely lands
 //! "mid-batch", cutting the current batch short exactly as a router would.
 //! Output lineage multisets must be identical in every configuration, for
 //! all four strategies: plain pipelined execution (no migrations), JISC,
 //! Moving State, and Parallel Track.
 
-use jisc_common::{BatchedTuple, ColumnarBatch, Event, Lineage, StreamId, TupleBatch};
+use jisc_common::{ColumnarBatch, Event, Lineage, StreamId};
 use jisc_core::jisc::apply_event;
 use jisc_core::{AdaptiveEngine, Strategy as Mig};
 use jisc_engine::{Catalog, DefaultSemantics, JoinStyle, Pipeline, PlanSpec, StreamDef};
@@ -121,11 +121,11 @@ fn per_tuple(case: &Case, strategy: Mig) -> OutputMultiset {
 fn batched(case: &Case, strategy: Mig, batch_size: usize) -> OutputMultiset {
     let mut e = AdaptiveEngine::new(case.catalog(), &case.plan(0), strategy).expect("engine");
     let mut rot = 0usize;
-    let mut batch = TupleBatch::new(batch_size);
+    let mut batch = ColumnarBatch::new(batch_size);
     for (i, &(s, k)) in case.arrivals.iter().enumerate() {
         if case.migrations.contains(&i) {
             if !batch.is_empty() {
-                e.on_event(Event::Batch(batch.clone())).expect("batch");
+                e.on_event(Event::Columnar(batch.clone())).expect("batch");
                 batch.clear();
             }
             rot += 1;
@@ -133,39 +133,39 @@ fn batched(case: &Case, strategy: Mig, batch_size: usize) -> OutputMultiset {
                 .expect("barrier");
         }
         batch
-            .push(BatchedTuple::new(StreamId(s), k, i as u64))
+            .push(StreamId(s), k, i as u64)
             .expect("batch cut on full");
         if batch.is_full() {
-            e.on_event(Event::Batch(batch.clone())).expect("batch");
+            e.on_event(Event::Columnar(batch.clone())).expect("batch");
             batch.clear();
         }
     }
     if !batch.is_empty() {
-        e.on_event(Event::Batch(batch)).expect("batch");
+        e.on_event(Event::Columnar(batch)).expect("batch");
     }
     sorted_multiset(e.output().lineage_multiset())
 }
 
 /// Plain pipelined execution (DefaultSemantics, no migrations): batched
-/// ingest through `Pipeline::push_batch` against per-tuple `push`.
+/// ingest through `Pipeline::push_columnar` against per-tuple `push`.
 fn plain_pair(case: &Case, batch_size: usize) -> (OutputMultiset, OutputMultiset) {
     let mut reference = Pipeline::new(case.catalog(), &case.plan(0)).expect("pipeline");
     for (i, &(s, k)) in case.arrivals.iter().enumerate() {
         reference.push(StreamId(s), k, i as u64).expect("push");
     }
     let mut pipe = Pipeline::new(case.catalog(), &case.plan(0)).expect("pipeline");
-    let mut batch = TupleBatch::new(batch_size);
+    let mut batch = ColumnarBatch::new(batch_size);
     for (i, &(s, k)) in case.arrivals.iter().enumerate() {
         batch
-            .push(BatchedTuple::new(StreamId(s), k, i as u64))
+            .push(StreamId(s), k, i as u64)
             .expect("batch cut on full");
         if batch.is_full() {
-            pipe.push_batch(&batch).expect("push batch");
+            pipe.push_columnar(&batch).expect("push batch");
             batch.clear();
         }
     }
     if !batch.is_empty() {
-        pipe.push_batch(&batch).expect("push batch");
+        pipe.push_columnar(&batch).expect("push batch");
     }
     (
         sorted_multiset(reference.output.lineage_multiset()),
@@ -176,55 +176,39 @@ fn plain_pair(case: &Case, batch_size: usize) -> (OutputMultiset, OutputMultiset
 /// Materialize the case as a unified event stream: data cut at the case's
 /// *arbitrary* partition points, with migration barriers and expiry
 /// watermarks cutting the current batch short wherever they land (so they
-/// routinely fall "mid-batch" relative to the partition). `columnar` picks
-/// the data representation; control positions are identical either way,
-/// which is exactly what the columnar ≡ row equivalence needs.
-fn event_stream(case: &Case, columnar: bool, with_migrations: bool) -> Vec<Event<PlanSpec>> {
-    fn cut(
-        evs: &mut Vec<Event<PlanSpec>>,
-        rows: &mut TupleBatch,
-        cols: &mut ColumnarBatch,
-        columnar: bool,
-    ) {
-        if columnar {
-            if !cols.is_empty() {
-                let full = std::mem::replace(cols, ColumnarBatch::new(cols.capacity()));
-                evs.push(Event::Columnar(full));
-            }
-        } else if !rows.is_empty() {
-            let full = std::mem::replace(rows, TupleBatch::new(rows.capacity()));
-            evs.push(Event::Batch(full));
+/// routinely fall "mid-batch" relative to the partition). With `per_row`
+/// every row ships as a batch of its own instead — the per-tuple reference
+/// with control at identical positions.
+fn event_stream(case: &Case, per_row: bool, with_migrations: bool) -> Vec<Event<PlanSpec>> {
+    fn cut(evs: &mut Vec<Event<PlanSpec>>, cols: &mut ColumnarBatch) {
+        if !cols.is_empty() {
+            let full = std::mem::replace(cols, ColumnarBatch::new(cols.capacity()));
+            evs.push(Event::Columnar(full));
         }
     }
     let n = case.arrivals.len().max(1);
     let mut evs = Vec::new();
-    let mut rows = TupleBatch::new(n);
     let mut cols = ColumnarBatch::new(n);
     let mut rot = 0usize;
     for (i, &(s, k)) in case.arrivals.iter().enumerate() {
         if with_migrations && case.migrations.contains(&i) {
-            cut(&mut evs, &mut rows, &mut cols, columnar);
+            cut(&mut evs, &mut cols);
             rot += 1;
             evs.push(Event::MigrationBarrier(case.plan(rot)));
         }
         if case.expiries.contains(&i) {
-            cut(&mut evs, &mut rows, &mut cols, columnar);
+            cut(&mut evs, &mut cols);
             // Arrival `j` gets ts `j` (engine-assigned), so a watermark of
             // `i` here is monotonic and, under time windows, expires a
             // prefix of the rings mid-stream.
             evs.push(Event::Expiry(i as u64));
         }
-        if case.cuts.contains(&i) {
-            cut(&mut evs, &mut rows, &mut cols, columnar);
+        if per_row || case.cuts.contains(&i) {
+            cut(&mut evs, &mut cols);
         }
-        if columnar {
-            cols.push(StreamId(s), k, i as u64).expect("capacity n");
-        } else {
-            rows.push(BatchedTuple::new(StreamId(s), k, i as u64))
-                .expect("capacity n");
-        }
+        cols.push(StreamId(s), k, i as u64).expect("capacity n");
     }
-    cut(&mut evs, &mut rows, &mut cols, columnar);
+    cut(&mut evs, &mut cols);
     evs
 }
 
@@ -285,14 +269,15 @@ proptest! {
         }
     }
 
-    /// Columnar ingest is observationally equivalent to row-batch ingest
-    /// over *arbitrary* batch partitions, for all four strategies, with
-    /// migration barriers and expiry watermarks landing mid-partition.
+    /// Columnar ingest over *arbitrary* batch partitions is observationally
+    /// equivalent to the same event stream with every row in a batch of its
+    /// own (per-tuple execution), for all four strategies, with migration
+    /// barriers and expiry watermarks landing mid-partition.
     #[test]
     fn columnar_equals_row_batches_all_strategies(case in case_strategy()) {
         // Plain pipelined execution rejects barriers; both runs skip them.
-        let row = run_events(&case, None, &event_stream(&case, false, false));
-        let col = run_events(&case, None, &event_stream(&case, true, false));
+        let row = run_events(&case, None, &event_stream(&case, true, false));
+        let col = run_events(&case, None, &event_stream(&case, false, false));
         prop_assert_eq!(
             &col, &row,
             "plain pipeline diverged ({} cuts, {} expiries, ticks {:?})",
@@ -303,8 +288,8 @@ proptest! {
             Mig::MovingState,
             Mig::ParallelTrack { check_period: 10 },
         ] {
-            let row = run_events(&case, Some(strategy), &event_stream(&case, false, true));
-            let col = run_events(&case, Some(strategy), &event_stream(&case, true, true));
+            let row = run_events(&case, Some(strategy), &event_stream(&case, true, true));
+            let col = run_events(&case, Some(strategy), &event_stream(&case, false, true));
             prop_assert_eq!(
                 &col, &row,
                 "{:?} diverged ({} cuts, {} migrations, {} expiries, ticks {:?})",
@@ -327,7 +312,7 @@ proptest! {
             Mig::MovingState,
             Mig::ParallelTrack { check_period: 10 },
         ] {
-            let evs = event_stream(&case, true, true);
+            let evs = event_stream(&case, false, true);
             let full = run_events(&case, Some(strategy), &evs);
 
             let mut e =

@@ -10,7 +10,7 @@
 //! - Watermarks are monotone: a regressing `Expiry` is rejected, and a
 //!   repeated one is a no-op.
 
-use jisc_common::{BatchedTuple, Event, StreamId, TupleBatch};
+use jisc_common::{ColumnarBatch, Event, StreamId};
 use jisc_core::jisc::{apply_event, JiscSemantics};
 use jisc_core::{AdaptiveEngine, Strategy};
 use jisc_engine::{Catalog, JoinStyle, Pipeline, PlanSpec, StreamDef};
@@ -113,13 +113,11 @@ fn flush_drains_all_operator_queues_and_is_idempotent() {
     let mut pipe = Pipeline::new(timed_catalog(&names, 40), &spec(&names)).unwrap();
     let mut sem = JiscSemantics::default();
 
-    let mut batch = TupleBatch::new(16);
+    let mut batch = ColumnarBatch::new(16);
     for i in 0..48u64 {
-        batch
-            .push(BatchedTuple::new(StreamId((i % 3) as u16), i % 5, i))
-            .unwrap();
+        batch.push(StreamId((i % 3) as u16), i % 5, i).unwrap();
         if batch.is_full() {
-            apply_event(&mut pipe, &mut sem, Event::Batch(batch.clone())).unwrap();
+            apply_event(&mut pipe, &mut sem, Event::Columnar(batch.clone())).unwrap();
             batch.clear();
         }
     }
@@ -189,36 +187,42 @@ fn watermark_is_monotone_idempotent_and_matches_expiry() {
 fn watermark_applies_across_strategies() {
     // Batches with pinned timestamps, a mid-stream watermark, and a stale
     // re-announcement, through every strategy facade: all must agree with
-    // a serial pipeline driven by the same events.
+    // a serial pipeline fed the same rows one at a time around the same
+    // watermarks.
     let names = ["R", "S"];
     let arrivals: Vec<(u16, u64, u64)> =
         (0..80u64).map(|i| ((i % 2) as u16, i % 6, i * 2)).collect();
     let batch_of = |range: std::ops::Range<usize>| {
-        let mut b = TupleBatch::new(range.len());
+        let mut b = ColumnarBatch::new(range.len());
         for (i, &(s, k, ts)) in arrivals[range.clone()].iter().enumerate() {
-            let mut t = BatchedTuple::new(StreamId(s), k, (range.start + i) as u64);
-            t.ts = Some(ts);
-            b.push(t).unwrap();
+            b.push_stamped(StreamId(s), k, (range.start + i) as u64, Some(ts), None)
+                .unwrap();
         }
         b
     };
-    let events = |wm: u64| {
+    // The watermark may reach at most the next batch's first timestamp
+    // (ts = 2 * arrival index), or the resumed stream would regress.
+    let wm = 80;
+    let events = || {
         vec![
-            Event::Batch(batch_of(0..40)),
+            Event::Columnar(batch_of(0..40)),
             Event::Watermark(wm),
             Event::Watermark(wm / 4), // stale: must be a no-op everywhere
-            Event::Batch(batch_of(40..80)),
+            Event::Columnar(batch_of(40..80)),
             Event::Flush,
         ]
     };
 
-    // The watermark may reach at most the next batch's first timestamp
-    // (ts = 2 * arrival index), or the resumed stream would regress.
-    let wm = 80;
     let mut serial = Pipeline::new(timed_catalog(&names, 30), &spec(&names)).unwrap();
     let mut sem = JiscSemantics::default();
-    for ev in events(wm) {
-        apply_event(&mut serial, &mut sem, ev).unwrap();
+    for (i, &(s, k, ts)) in arrivals.iter().enumerate() {
+        if i == 40 {
+            serial.apply_watermark_with(&mut sem, wm).unwrap();
+            serial.apply_watermark_with(&mut sem, wm / 4).unwrap();
+        }
+        serial
+            .push_at_with(&mut sem, StreamId(s), k, i as u64, ts)
+            .unwrap();
     }
 
     for strategy in [
@@ -228,7 +232,7 @@ fn watermark_applies_across_strategies() {
     ] {
         let mut engine =
             AdaptiveEngine::new(timed_catalog(&names, 30), &spec(&names), strategy).unwrap();
-        for ev in events(wm) {
+        for ev in events() {
             engine.on_event(ev).unwrap();
         }
         assert_eq!(
@@ -264,12 +268,11 @@ fn events_apply_in_stream_order_across_strategies() {
 
         let mut engine = AdaptiveEngine::new(catalog(), &spec(&names), strategy).unwrap();
         let send = |from: usize, to: usize, e: &mut AdaptiveEngine| {
-            let mut b = TupleBatch::new(to - from);
+            let mut b = ColumnarBatch::new(to - from);
             for (i, &(s, k)) in arrivals[from..to].iter().enumerate() {
-                b.push(BatchedTuple::new(StreamId(s), k, (from + i) as u64))
-                    .unwrap();
+                b.push(StreamId(s), k, (from + i) as u64).unwrap();
             }
-            e.on_event(Event::Batch(b)).unwrap();
+            e.on_event(Event::Columnar(b)).unwrap();
         };
         send(0, 60, &mut engine);
         engine

@@ -1,26 +1,25 @@
-//! Mid-migration batches stay on the batch planes.
+//! Mid-migration batches stay on the columnar kernels.
 //!
-//! While any state is incomplete, both batch planes used to drop to
-//! per-arrival execution for every batch that expired something. That rule
-//! is gone: pending-key bookkeeping is per (state, key), so events on
-//! different keys commute mid-migration exactly as they do on complete
-//! states. This suite aims at the deleted rule —
+//! While any state was incomplete, batches used to drop to per-arrival
+//! execution for every batch that expired something. That rule is gone:
+//! pending-key bookkeeping is per (state, key), so events on different keys
+//! commute mid-migration exactly as they do on complete states. This suite
+//! aims at the deleted rule —
 //!
 //! * a regression scenario for the stale-entry bug the per-item `Remove`
 //!   walk had (two same-key tuples under one child expiring in one drain),
-//!   through per-tuple, row-batch, columnar and watermark ingestion;
+//!   through per-tuple, one-row-batch (the per-tuple fallback behind
+//!   `Event::Columnar`), columnar and watermark ingestion;
 //! * a proptest over time-windowed streams with unequal windows and
 //!   repeated timestamps, transitions to left-deep worst/best-case and
 //!   bushy (Case-3) plans, overlapped, with batch boundaries at arbitrary
-//!   offsets: per-tuple ≡ row-batch ≡ columnar by output lineage and final
-//!   state sizes, with the batch planes never later to complete a state;
+//!   offsets: per-tuple ≡ columnar by output lineage and final state sizes,
+//!   with the columnar run never later to complete a state;
 //! * engagement: a columnar batch that expires mid-migration runs the
 //!   install and retract kernels, and so do states whose pending keys come
 //!   from crash recovery or a rescale install instead of a transition.
 
-use jisc_common::{
-    BatchedTuple, ColumnarBatch, Event, Lineage, PartitionMap, StreamId, TupleBatch,
-};
+use jisc_common::{ColumnarBatch, Event, Lineage, PartitionMap, StreamId};
 use jisc_core::jisc::JiscSemantics;
 use jisc_core::{extract_range, install_range, restore_pipeline, RecoveryMode};
 use jisc_core::{AdaptiveEngine, Strategy as Mig};
@@ -39,14 +38,24 @@ fn sorted_multiset(m: jisc_common::FxHashMap<Lineage, usize>) -> OutputMultiset 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Plane {
     PerTuple,
+    /// One `Event::Columnar` per row: the per-tuple fallback behind the
+    /// batch event.
     RowBatch,
     Columnar,
 }
 
-const BATCH_PLANES: [Plane; 2] = [Plane::RowBatch, Plane::Columnar];
+/// `rows` (`(stream, key, ts)`) as one columnar batch.
+fn columnar(rows: &[(u16, u64, u64)]) -> ColumnarBatch {
+    let mut b = ColumnarBatch::new(rows.len());
+    for &(s, k, ts) in rows {
+        b.push_stamped(StreamId(s), k, 0, Some(ts), None)
+            .expect("capacity");
+    }
+    b
+}
 
-/// Feed `rows` (`(stream, key, ts)`, payload = position) as one unit of
-/// `plane`: one `push_at` per row, or a single batch event.
+/// Feed `rows` (`(stream, key, ts)`) as one unit of `plane`: one `push_at`
+/// per row, one batch event per row, or a single batch event.
 fn feed(e: &mut AdaptiveEngine, plane: Plane, rows: &[(u16, u64, u64)]) {
     match plane {
         Plane::PerTuple => {
@@ -55,21 +64,14 @@ fn feed(e: &mut AdaptiveEngine, plane: Plane, rows: &[(u16, u64, u64)]) {
             }
         }
         Plane::RowBatch => {
-            let mut b = TupleBatch::new(rows.len());
-            for &(s, k, ts) in rows {
-                let mut t = BatchedTuple::new(StreamId(s), k, 0);
-                t.ts = Some(ts);
-                b.push(t).expect("capacity");
+            for row in rows.chunks(1) {
+                e.on_event(Event::Columnar(columnar(row)))
+                    .expect("one-row batch");
             }
-            e.on_event(Event::Batch(b)).expect("row batch");
         }
         Plane::Columnar => {
-            let mut b = ColumnarBatch::new(rows.len());
-            for &(s, k, ts) in rows {
-                b.push_stamped(StreamId(s), k, 0, Some(ts), None)
-                    .expect("capacity");
-            }
-            e.on_event(Event::Columnar(b)).expect("columnar batch");
+            e.on_event(Event::Columnar(columnar(rows)))
+                .expect("columnar batch");
         }
     }
 }
@@ -194,7 +196,7 @@ struct Case {
     /// `(arrival index, plan index)`: transitions, close enough together
     /// that later ones find states still incomplete (§4.5).
     transitions: Vec<(usize, usize)>,
-    /// Arrival indices at which the batch planes cut a batch.
+    /// Arrival indices at which the columnar run cuts a batch.
     cuts: Vec<usize>,
 }
 
@@ -300,8 +302,8 @@ fn run(case: &Case, plane: Plane) -> Observed {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Per-tuple ≡ row-batch ≡ columnar across transitions: same output
-    /// lineage multiset, same per-node state sizes at the end, and — among
+    /// Per-tuple ≡ columnar across transitions: same output lineage
+    /// multiset, same per-node state sizes at the end, and — among
     /// left-deep plans — at no batch boundary more incomplete states than
     /// the per-tuple run has after the same arrival.
     #[test]
@@ -316,40 +318,37 @@ proptest! {
             "per-tuple migration changed the output ({:?} from plan {})",
             case.transitions, case.initial
         );
-        for plane in BATCH_PLANES {
-            let got = run(&case, plane);
-            prop_assert_eq!(
-                &got.output, &reference.output,
-                "{:?} output diverged ({} transitions from plan {}, {} cuts)",
-                plane, case.transitions.len(), case.initial, case.cuts.len()
+        let got = run(&case, Plane::Columnar);
+        prop_assert_eq!(
+            &got.output, &reference.output,
+            "columnar output diverged ({} transitions from plan {}, {} cuts)",
+            case.transitions.len(), case.initial, case.cuts.len()
+        );
+        prop_assert_eq!(
+            &got.state_sizes, &reference.state_sizes,
+            "columnar final state sizes diverged"
+        );
+        // The runs need not complete a state on the same arrival: dropping
+        // a pending key whose completion expiry made moot (`note_removal`)
+        // is opportunistic, judged against the children as they are when a
+        // `Remove` passes. The per-tuple walk drains an arrival's expiries
+        // together with its own insert, so it sees that insert in the
+        // states below; the columnar flush retracts a segment's expiries
+        // before its inserts. On Known pending sets (§4.3 Cases 1–2, all a
+        // left-deep plan creates) the columnar run therefore sees emptier
+        // children and is never behind. A Case-3 state's residual is fixed
+        // at whichever instant its children complete, from whichever child
+        // is smaller then, so there the counts are not comparable.
+        if case.left_deep_only() {
+            let behind = got
+                .incomplete_at
+                .iter()
+                .zip(&reference.incomplete_at)
+                .find(|(g, r)| g.0 != r.0 || g.1 > r.1);
+            prop_assert!(
+                behind.is_none(),
+                "columnar completed its states later than per-tuple: {:?}", behind
             );
-            prop_assert_eq!(
-                &got.state_sizes, &reference.state_sizes,
-                "{:?} final state sizes diverged", plane
-            );
-            // The planes need not complete a state on the same arrival:
-            // dropping a pending key whose completion expiry made moot
-            // (`note_removal`) is opportunistic, judged against the
-            // children as they are when a `Remove` passes. The per-tuple
-            // walk drains an arrival's expiries together with its own
-            // insert, so it sees that insert in the states below; a batch
-            // plane retracts a segment's expiries before its inserts. On
-            // Known pending sets (§4.3 Cases 1–2, all a left-deep plan
-            // creates) the batch planes therefore see emptier children and
-            // are never behind. A Case-3 state's residual is fixed at
-            // whichever instant its children complete, from whichever child
-            // is smaller then, so there the counts are not comparable.
-            if case.left_deep_only() {
-                let behind = got
-                    .incomplete_at
-                    .iter()
-                    .zip(&reference.incomplete_at)
-                    .find(|(g, r)| g.0 != r.0 || g.1 > r.1);
-                prop_assert!(
-                    behind.is_none(),
-                    "{:?} completed its states later than per-tuple: {:?}", plane, behind
-                );
-            }
         }
     }
 }
@@ -375,27 +374,23 @@ fn timed_catalog() -> Catalog {
 
 /// Push `rows` as one columnar batch and assert it ran on the columnar
 /// kernels although states are incomplete: the install kernel saw the
-/// batch's deltas and the retract kernel its expiries. (The row fallback
-/// records neither.)
+/// batch's deltas and the retract kernel its expiries. (The per-tuple
+/// fallback records neither.)
 fn assert_columnar_kernels_engage(p: &mut Pipeline, rows: &[(u16, u64, u64)]) {
     assert!(
         jisc_core::jisc::incomplete_state_count(p) > 0,
         "the batch must meet incomplete states"
     );
-    let mut b = ColumnarBatch::new(rows.len());
-    for &(s, k, ts) in rows {
-        b.push_stamped(StreamId(s), k, 0, Some(ts), None).unwrap();
-    }
     let (installed, expired, removals) = (
         p.kernels.install.elements,
         p.kernels.expire.elements,
         p.metrics.removals,
     );
-    p.push_columnar_with(&mut JiscSemantics::default(), &b)
+    p.push_columnar_with(&mut JiscSemantics::default(), &columnar(rows))
         .unwrap();
     assert!(
         p.kernels.install.elements >= installed + rows.len() as u64,
-        "install kernel skipped: the batch fell back to the row path"
+        "install kernel skipped: the batch fell back to per-tuple execution"
     );
     assert!(
         p.kernels.expire.elements > expired && p.metrics.removals > removals,

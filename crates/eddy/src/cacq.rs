@@ -13,7 +13,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use jisc_common::{BaseTuple, JiscError, Key, Metrics, Result, SeqNo, StreamId, Tuple, TupleBatch};
+use jisc_common::{BaseTuple, JiscError, Key, Metrics, Result, SeqNo, StreamId, Tuple};
 use jisc_engine::{Catalog, OutputSink, StreamSet};
 
 use crate::stem::Stem;
@@ -236,17 +236,6 @@ impl CacqExec {
     pub fn push_named(&mut self, stream: &str, key: Key, payload: u64) -> Result<()> {
         let id = self.catalog.id(stream)?;
         self.push(id, key, payload)
-    }
-
-    /// Process a batch of arrivals. Eddy routing is hop-ordered, so the
-    /// batch is drained tuple-at-a-time; sequence numbers are assigned by
-    /// this executor (any `seq`/`ts` overrides in the batch are ignored —
-    /// eddies are count-windowed and keep their own arrival clock).
-    pub fn push_batch(&mut self, batch: &TupleBatch) -> Result<()> {
-        for t in batch.items() {
-            self.push(t.stream, t.key, t.payload)?;
-        }
-        Ok(())
     }
 }
 

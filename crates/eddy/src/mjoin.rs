@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use jisc_common::{BaseTuple, JiscError, Key, Metrics, Result, SeqNo, StreamId, Tuple, TupleBatch};
+use jisc_common::{BaseTuple, JiscError, Key, Metrics, Result, SeqNo, StreamId, Tuple};
 use jisc_engine::{Catalog, OutputSink};
 
 use crate::stem::Stem;
@@ -134,16 +134,6 @@ impl MJoinExec {
     pub fn push_named(&mut self, stream: &str, key: Key, payload: u64) -> Result<()> {
         let id = self.catalog.id(stream)?;
         self.push(id, key, payload)
-    }
-
-    /// Process a batch of arrivals. Probe cascades are per-tuple, so the
-    /// batch is drained tuple-at-a-time with this executor's own sequence
-    /// clock (any `seq`/`ts` overrides in the batch are ignored).
-    pub fn push_batch(&mut self, batch: &TupleBatch) -> Result<()> {
-        for t in batch.items() {
-            self.push(t.stream, t.key, t.payload)?;
-        }
-        Ok(())
     }
 }
 

@@ -16,7 +16,7 @@
 //! cost, which is what distinguishes eddy execution (every tuple movement
 //! passes through the eddy router; `eddy_hops` counts them).
 
-use jisc_common::{Key, Metrics, Result, StreamId, TupleBatch};
+use jisc_common::{Key, Metrics, Result, StreamId};
 use jisc_core::jisc::JiscSemantics;
 use jisc_core::migrate::{build_state_eagerly, is_binary, verify_same_query};
 use jisc_engine::{
@@ -94,16 +94,6 @@ impl StairsExec {
     pub fn push_named(&mut self, stream: &str, key: Key, payload: u64) -> Result<()> {
         let id = self.pipe.catalog().id(stream)?;
         self.push(id, key, payload)
-    }
-
-    /// Process a batch of arrivals tuple-at-a-time. Eddy routing counts
-    /// hops per in-flight tuple, so the batched fast path does not apply;
-    /// `seq`/`ts` overrides in the batch are ignored.
-    pub fn push_batch(&mut self, batch: &TupleBatch) -> Result<()> {
-        for t in batch.items() {
-            self.push(t.stream, t.key, t.payload)?;
-        }
-        Ok(())
     }
 
     /// Change the routing policy. Eager mode performs all Promote/Demote

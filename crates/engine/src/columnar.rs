@@ -1,11 +1,8 @@
-//! The columnar (vectorized) batch execution path.
+//! The batch execution path: one [`ColumnarBatch`] through the vectorized
+//! kernels.
 //!
-//! [`Pipeline::push_batch_with`] processes a row-major
-//! [`TupleBatch`](jisc_common::TupleBatch) through per-element deltas that
-//! carry an `Arc`'d tuple each — every probe pays a pointer chase and a
-//! refcount round-trip even when it matches nothing, which is what capped
-//! the row path's batching gains. [`Pipeline::push_columnar_with`] executes
-//! the same two-phase flush over structure-of-arrays deltas instead:
+//! [`Pipeline::push_columnar_with`] executes a whole batch as a two-phase
+//! flush over structure-of-arrays deltas:
 //!
 //! * the **key hashes of the whole batch** are produced by one column
 //!   kernel ([`jisc_common::kernels::hash_column`]) and ride along as a
@@ -13,7 +10,7 @@
 //!   `for_each_match_hashed` entry points directly;
 //! * **probe loops read only the dense key/hash columns** — a delta tuple's
 //!   `Arc` is touched (cloned) only when a probe actually matches, so a
-//!   selective join's flush no longer scales with refcount traffic;
+//!   selective join's flush does not scale with refcount traffic;
 //! * **the three loops that touch the slab — removal, probe, install — are
 //!   group-prefetched**: each hands its whole item column to
 //!   [`State::warm`](crate::state::State::warm) first, which prefetches
@@ -38,9 +35,13 @@
 //!   (64 rows per word, branch-free) instead of scanning the state once
 //!   per delta element and materializing intermediates.
 //!
-//! The output is equivalent to pushing the batch's rows one at a time in
-//! order, by lineage multiset — property-tested against the per-tuple and
-//! row-batch paths for all four migration strategies.
+//! Everything else — batches of one, non-batchable plans (set-difference,
+//! aggregation, non-`KeyEq` theta joins) and malformed batches (a clock
+//! violation, a pinned sequence number behind the last transition, an
+//! unknown stream) — runs the per-tuple queue walk row by row, reached from
+//! one place (`push_rows`). The output is equivalent to pushing the batch's
+//! rows one at a time in order, by lineage multiset — property-tested
+//! against per-tuple execution for all four migration strategies.
 //!
 //! Per-kernel wall-clock/element counters accumulate in
 //! [`Pipeline::kernels`] ([`KernelStats`]) and surface as a footer line in
@@ -58,11 +59,21 @@ use jisc_common::{
 };
 
 use crate::ops::DefaultSemantics;
-use crate::pipeline::{Pipeline, Semantics, DELTA_SCRATCH_CAP, INTRA_PAIR_KEYED_MIN};
+use crate::pipeline::{Pipeline, Semantics};
 use crate::plan::OpKind;
 use crate::predicate::Predicate;
 use crate::slab::WarmDepth;
 use crate::spec::WindowSpec;
+
+/// Below this `|δl|·|δr|` product the intra-batch pairing term uses the
+/// bitmap kernel; above it, a keyed index over the right delta. The bitmap
+/// wins on small deltas (no map to build or allocate), the index on large
+/// ones (the bitmap pass is quadratic in batch size).
+const INTRA_PAIR_KEYED_MIN: usize = 2048;
+
+/// Per-node delta scratch buffers shrink back to this capacity after each
+/// flush, so one outlier batch cannot pin its high-water allocation.
+const DELTA_SCRATCH_CAP: usize = 1024;
 
 /// Accumulated cost of one kernel: how often it ran, how many column
 /// elements it touched, and the wall-clock nanoseconds it took.
@@ -140,8 +151,8 @@ impl KernelStats {
 
 /// One node's batch delta in structure-of-arrays layout: parallel dense
 /// columns, one entry per delta tuple. The probe loops read `keys`/`hashes`
-/// only; `tuples` is touched when a probe matches (the `Arc` clone the row
-/// path paid per element now happens per *result*).
+/// only; `tuples` is touched when a probe matches (the `Arc` clone happens
+/// per *result*, not per probed element).
 #[derive(Debug, Default)]
 pub(crate) struct ColDelta {
     keys: Vec<Key>,
@@ -247,17 +258,22 @@ enum BatchPlan {
     /// Expiry interleaves; execute as maximal bulk-safe segments, cutting
     /// where an expiring key collides with a segment insert.
     Segmented,
-    /// Clock violation or unknown stream: run the exact per-arrival row
-    /// path (it reproduces the serial-prefix state and the error).
+    /// Clock violation, a pinned sequence number behind the last
+    /// transition, or an unknown stream: run the rows through the
+    /// per-tuple path (it reproduces the serial-prefix state and the
+    /// error).
     Fallback,
 }
 
 impl Pipeline {
     /// Process a whole [`ColumnarBatch`] to quiescence under the given
     /// semantics, equivalent (by output lineage multiset) to pushing its
-    /// rows one at a time in order — the columnar counterpart of
-    /// [`Pipeline::push_batch_with`], executed through the vectorized
-    /// kernel path described in [`crate::columnar`].
+    /// rows one at a time in order, executed through the vectorized kernel
+    /// path described in [`crate::columnar`].
+    ///
+    /// A row's unset timestamp means "default clock" (same rule as
+    /// [`Pipeline::ingest`]); a pinned sequence number is adopted via
+    /// [`Pipeline::set_next_seq`] (sharded routing).
     pub fn push_columnar_with(
         &mut self,
         sem: &mut impl Semantics,
@@ -267,18 +283,7 @@ impl Pipeline {
             return Ok(());
         }
         if batch.len() < 2 || !self.plan.batchable() {
-            for i in 0..batch.len() {
-                let t = batch.row(i);
-                if let Some(seq) = t.seq {
-                    self.set_next_seq(seq);
-                }
-                let ts = match t.ts {
-                    Some(ts) => ts,
-                    None => self.last_ts.max(self.next_seq),
-                };
-                self.push_at_with(sem, t.stream, t.key, t.payload, ts)?;
-            }
-            return Ok(());
+            return self.push_rows(sem, batch);
         }
         if self.pending_items > 0 {
             return Err(JiscError::InvalidConfig(
@@ -293,15 +298,13 @@ impl Pipeline {
         hash_column(batch.keys(), &mut col.hashes);
         self.kernels.hash.record(batch.len() as u64, t0.elapsed());
 
-        let plan = self.plan_batch(batch, &mut col);
-        let result = match plan {
+        match self.plan_batch(batch, &mut col) {
             BatchPlan::Bulk => {
                 col.pops.clear();
                 col.pops.resize(self.catalog.len(), 0);
                 col.deferred_pops.clear();
                 self.commit_segment(batch, &mut col, 0, batch.len());
                 self.flush_columnar(sem, &mut col);
-                Ok(())
             }
             BatchPlan::Segmented => {
                 let mut start = 0;
@@ -312,25 +315,29 @@ impl Pipeline {
                     start = end;
                 }
                 self.drain_deferred(&mut col);
-                Ok(())
             }
             BatchPlan::Fallback => {
-                // Row-by-row deferred ingest: exact per-arrival window and
-                // clock semantics, including the serial-prefix state on
-                // error. Only malformed batches land here.
-                let mut out = Ok(());
-                for i in 0..batch.len() {
-                    if let Err(e) = self.ingest_deferred(sem, &batch.row(i)) {
-                        out = Err(e);
-                        break;
-                    }
-                }
-                self.flush_run(sem);
-                out
+                self.col = col;
+                return self.push_rows(sem, batch);
             }
-        };
+        }
         self.col = col;
-        result
+        Ok(())
+    }
+
+    /// The per-tuple fallback: push every row through the queue walk in
+    /// order. Stops at the first error, leaving the state the serial prefix
+    /// before it produced.
+    fn push_rows(&mut self, sem: &mut impl Semantics, batch: &ColumnarBatch) -> Result<()> {
+        for i in 0..batch.len() {
+            let t = batch.row(i);
+            if let Some(seq) = t.seq {
+                self.set_next_seq(seq);
+            }
+            let ts = t.ts.unwrap_or_else(|| self.last_ts.max(self.next_seq));
+            self.push_at_with(sem, t.stream, t.key, t.payload, ts)?;
+        }
+        Ok(())
     }
 
     /// [`Pipeline::push_columnar_with`] under the default semantics.
@@ -340,7 +347,7 @@ impl Pipeline {
 
     /// Read-only planning pass: resolve every row's effective timestamp
     /// and classify the batch — bulk (no expiry interleaves), segmented
-    /// (expiry interleaves), or row-path fallback (malformed batch).
+    /// (expiry interleaves), or per-tuple fallback (malformed batch).
     /// Mutates only `col` scratch.
     fn plan_batch(&self, batch: &ColumnarBatch, col: &mut ColScratch) -> BatchPlan {
         let n = batch.len();
@@ -348,7 +355,7 @@ impl Pipeline {
         // Clock resolution: simulate the sequence/timestamp assignment the
         // serial path would perform. Any monotonicity violation or a
         // pinned sequence that would rewind the transition clock falls
-        // back — the row path reproduces the exact serial-prefix
+        // back — per-tuple execution reproduces the exact serial-prefix
         // semantics (including the error).
         col.eff_ts.clear();
         col.eff_ts.reserve(n);
@@ -676,8 +683,12 @@ impl Pipeline {
     /// The columnar two-phase flush: phase I computes every join node's
     /// delta against the pre-batch states bottom-up (dense-column probes,
     /// bitmap-driven pairing), phase II installs all deltas and emits at
-    /// the root. Same phase discipline as the row path's `flush_run`, so
-    /// JISC completion stays sound mid-batch.
+    /// the root. The strict phase separation is what keeps JISC completion
+    /// sound mid-batch: completion triggered by [`Semantics::complete_keys`]
+    /// reads only pre-batch child states, so it materializes exactly the
+    /// old-only combinations, while every delta entry contains at least one
+    /// batch constituent; the two sets are lineage-disjoint and nothing is
+    /// double-counted.
     fn flush_columnar(&mut self, sem: &mut impl Semantics, col: &mut ColScratch) {
         let ColScratch {
             deltas,
@@ -864,8 +875,7 @@ impl Pipeline {
     /// emitting each pair with the fresh flag of its later-arriving side.
     /// Small products run the bitmap kernel (one whole-column predicate
     /// evaluation per left entry, 64 comparisons per word); large products
-    /// build a one-shot keyed index over the right delta, same as the row
-    /// path.
+    /// build a one-shot keyed index over the right delta.
     fn pair_deltas(la: &ColDelta, ra: &ColDelta, out: &mut ColDelta, bm: &mut SelBitmap) {
         if la.is_empty() || ra.is_empty() {
             return;
@@ -909,7 +919,7 @@ impl Pipeline {
 mod tests {
     use super::*;
     use crate::spec::{Catalog, JoinStyle, PlanSpec, StreamDef};
-    use jisc_common::{SplitMix64, StreamId, TupleBatch};
+    use jisc_common::{JiscError, SplitMix64, StreamId};
 
     fn pipes(catalog: Catalog, spec: &PlanSpec) -> (Pipeline, Pipeline) {
         (
@@ -918,9 +928,34 @@ mod tests {
         )
     }
 
-    /// Drive one pipeline with row batches and the other with the same
-    /// arrivals as columnar batches; outputs must agree as lineage
-    /// multisets.
+    /// One row as a test writes it: stream, key, pinned ts, pinned seq.
+    type Row = (StreamId, Key, Option<u64>, Option<SeqNo>);
+
+    /// The per-tuple reference for one batch: every row through `push_at`
+    /// in order, clock resolved and pinned seq adopted as the batch path
+    /// documents, stopping at the first error.
+    fn push_rows_per_tuple(p: &mut Pipeline, rows: &[Row]) -> Result<()> {
+        for (i, &(s, k, ts, seq)) in rows.iter().enumerate() {
+            if let Some(seq) = seq {
+                p.set_next_seq(seq);
+            }
+            let ts = ts.unwrap_or_else(|| p.last_ts().max(p.next_seq()));
+            p.push_at(s, k, i as u64, ts)?;
+        }
+        Ok(())
+    }
+
+    fn columnar_of(rows: &[Row]) -> ColumnarBatch {
+        let mut cb = ColumnarBatch::new(rows.len());
+        for (i, &(s, k, ts, seq)) in rows.iter().enumerate() {
+            cb.push_stamped(s, k, i as u64, ts, seq).unwrap();
+        }
+        cb
+    }
+
+    /// Drive one pipeline with columnar batches of `batch` rows and a twin
+    /// with the same rows pushed one at a time (the "row batches");
+    /// outputs must agree as lineage multisets.
     fn assert_equivalent(
         catalog: Catalog,
         spec: &PlanSpec,
@@ -928,27 +963,18 @@ mod tests {
         batch: usize,
     ) {
         let (mut row, mut colp) = pipes(catalog, spec);
-        for chunk in arrivals.chunks(batch) {
-            let mut rb = TupleBatch::new(chunk.len());
-            let mut cb = ColumnarBatch::new(chunk.len());
-            for &(s, k, ts) in chunk {
-                rb.push(jisc_common::BatchedTuple {
-                    stream: s,
-                    key: k,
-                    payload: 0,
-                    ts,
-                    seq: None,
-                })
-                .unwrap();
-                cb.push_stamped(s, k, 0, ts, None).unwrap();
-            }
-            row.push_batch(&rb).unwrap();
-            colp.push_columnar(&cb).unwrap();
+        let rows: Vec<Row> = arrivals
+            .iter()
+            .map(|&(s, k, ts)| (s, k, ts, None))
+            .collect();
+        for chunk in rows.chunks(batch) {
+            push_rows_per_tuple(&mut row, chunk).unwrap();
+            colp.push_columnar(&columnar_of(chunk)).unwrap();
         }
         assert_eq!(
             row.output.lineage_multiset(),
             colp.output.lineage_multiset(),
-            "columnar output diverged from row-batch output"
+            "columnar output diverged from per-tuple output"
         );
         assert_eq!(row.output.count(), colp.output.count());
     }
@@ -1047,6 +1073,124 @@ mod tests {
         assert!(p.push_columnar(&cb).is_err());
         // The serial prefix (first row) must have landed.
         assert_eq!(p.metrics.tuples_in, 1);
+    }
+
+    /// Every cause of `BatchPlan::Fallback`, mid-batch, through
+    /// `push_columnar` and — on a twin — through per-tuple `push_at` of the
+    /// same rows: same `Result` variant, same `Metrics` (incl. `tuples_in`,
+    /// `dropped_late`, `late_admitted`), same output lineage multiset. The
+    /// columnar side must never reach the kernels.
+    #[test]
+    fn every_fallback_cause_equals_per_tuple_execution() {
+        use crate::lateness::LatenessPolicy;
+        let (r, s, t) = (StreamId(0), StreamId(1), StreamId(2));
+        let regressing: Vec<Row> = vec![
+            (r, 1, Some(30), None),
+            (s, 1, Some(31), None),
+            (t, 1, Some(29), None), // 2 ticks late
+            (s, 2, Some(25), None), // 6 ticks late
+            (t, 2, Some(33), None),
+            (r, 2, Some(34), None),
+        ];
+        let unknown_stream: Vec<Row> = vec![
+            (s, 1, None, None),
+            (t, 1, None, None),
+            (StreamId(9), 1, None, None),
+            (r, 1, None, None),
+        ];
+        // Seqs 100.. are pinned at or past the transition mark (100), then
+        // one rewinds behind it; no pinned seq collides with the warm-up's.
+        let behind_transition: Vec<Row> = vec![
+            (s, 1, None, Some(100)),
+            (t, 1, None, Some(101)),
+            (r, 1, None, Some(60)),
+            (s, 2, None, Some(61)),
+            (t, 2, None, Some(62)),
+        ];
+        struct Cause<'a> {
+            name: &'a str,
+            policy: Option<LatenessPolicy>,
+            /// Mark a transition at seq 100 before the batch.
+            transition: bool,
+            rows: &'a [Row],
+            /// What the batch must have done, beyond matching per-tuple.
+            check: fn(&Result<()>, &jisc_common::Metrics) -> bool,
+        }
+        let cause = |name, policy, rows, check| Cause {
+            name,
+            policy,
+            transition: false,
+            rows,
+            check,
+        };
+        let cases = [
+            cause("regressing ts, strict", None, &regressing, |r, _| {
+                matches!(r, Err(JiscError::InvalidConfig(_)))
+            }),
+            cause(
+                "regressing ts, drop",
+                Some(LatenessPolicy::Drop),
+                &regressing,
+                |r, m| r.is_ok() && (m.dropped_late, m.late_admitted) == (2, 0),
+            ),
+            cause(
+                "regressing ts, admit",
+                Some(LatenessPolicy::AdmitWithinBound { bound: 3 }),
+                &regressing,
+                |r, m| r.is_ok() && (m.dropped_late, m.late_admitted) == (1, 1),
+            ),
+            cause("unknown stream", None, &unknown_stream, |r, _| {
+                matches!(r, Err(JiscError::UnknownStream(_)))
+            }),
+            Cause {
+                transition: true,
+                ..cause("seq behind transition", None, &behind_transition, |r, _| {
+                    r.is_ok()
+                })
+            },
+        ];
+        for Cause {
+            name,
+            policy,
+            transition,
+            rows,
+            check,
+        } in cases
+        {
+            let catalog = Catalog::uniform(&["R", "S", "T"], 8).unwrap();
+            let spec = PlanSpec::left_deep(&["R", "S", "T"], JoinStyle::Hash);
+            let (mut col, mut twin) = pipes(catalog, &spec);
+            for p in [&mut col, &mut twin] {
+                for i in 0..20u64 {
+                    p.push_at(StreamId((i % 3) as u16), i % 3, 0, i).unwrap();
+                }
+                p.set_lateness_policy(policy);
+                if transition {
+                    p.set_next_seq(100);
+                    p.mark_transition();
+                }
+            }
+            let installed = col.kernels.install.elements;
+            let got = col.push_columnar(&columnar_of(rows));
+            let want = push_rows_per_tuple(&mut twin, rows);
+            assert_eq!(
+                col.kernels.install.elements, installed,
+                "{name}: the batch reached the kernels"
+            );
+            assert!(
+                check(&got, &col.metrics),
+                "{name}: {got:?} {:?}",
+                col.metrics
+            );
+            let variant = |r: &Result<()>| r.as_ref().err().map(std::mem::discriminant);
+            assert_eq!(variant(&got), variant(&want), "{name}: {got:?} vs {want:?}");
+            assert_eq!(col.metrics, twin.metrics, "{name}: metrics");
+            assert_eq!(
+                col.output.lineage_multiset(),
+                twin.output.lineage_multiset(),
+                "{name}: output"
+            );
+        }
     }
 
     /// The kernels' warm-up stages are hints: they may not leak into the

@@ -11,8 +11,8 @@
 use std::sync::Arc;
 
 use jisc_common::{
-    hash_key, BaseTuple, BatchedTuple, FxHashMap, FxHashSet, JiscError, Key, Lineage, Metrics,
-    Result, SeqNo, StreamId, Tuple, TupleBatch,
+    hash_key, BaseTuple, FxHashMap, FxHashSet, JiscError, Key, Lineage, Metrics, Result, SeqNo,
+    StreamId, Tuple,
 };
 
 use crate::ops::DefaultSemantics;
@@ -39,7 +39,7 @@ pub trait Semantics {
     /// Process one queue item at `node`.
     fn process(&mut self, p: &mut Pipeline, node: NodeId, item: QueueItem);
 
-    /// Hook called by both batch planes once per probe direction whose
+    /// Hook called by the columnar flush once per probe direction whose
     /// probed state is incomplete, before any delta tuple reads it — the
     /// batched counterpart of whatever per-item preparation `process` does
     /// before probing the opposite state. `keys`/`hashes` are the probing
@@ -56,22 +56,6 @@ pub trait Semantics {
     ) {
     }
 }
-
-/// Probe lookahead of the batch kernel: while one delta tuple's matches are
-/// materialized, the index lines this many items ahead are prefetched.
-/// Deep enough to cover a main-memory miss, shallow enough not to thrash
-/// L1 on small batches.
-pub(crate) const PREFETCH_DIST: usize = 8;
-
-/// Below this `|δl|·|δr|` product the intra-batch pairing term uses the
-/// plain nested loop; above it, a keyed index over the right delta. The
-/// nested loop wins on small deltas (no map to build or allocate), the
-/// index on large ones (the nested loop is quadratic in batch size).
-pub(crate) const INTRA_PAIR_KEYED_MIN: usize = 2048;
-
-/// Per-node delta scratch buffers shrink back to this capacity after each
-/// flush, so one outlier batch cannot pin its high-water allocation.
-pub(crate) const DELTA_SCRATCH_CAP: usize = 1024;
 
 /// Result of [`Pipeline::adopt_states`]: which signatures were adopted into
 /// the running plan, and the donor states that were discarded.
@@ -118,19 +102,6 @@ pub struct Pipeline {
     /// Reused buffer for join-probe results (see
     /// [`Pipeline::take_probe_scratch`]).
     probe_scratch: Vec<Tuple>,
-    /// Deferred inserts of the batch currently being ingested:
-    /// `(scan node, base tuple, fresh flag, key hash)` in arrival order.
-    /// The hash is computed once at ingest and rides along so the batch
-    /// kernel never rehashes a key.
-    batch_run: Vec<(NodeId, Arc<BaseTuple>, bool, u64)>,
-    /// Keys present in the deferred run (expiry-commutation check).
-    batch_run_keys: FxHashSet<Key>,
-    /// Per-node delta buffers reused across batch flushes (indexed by
-    /// `NodeId`). Each entry carries the probe-key hash of its tuple —
-    /// under the shared-attribute model a joined tuple is probed with the
-    /// same key (hence hash) as the delta tuple that produced it.
-    /// Capacities are capped after each flush (see `DELTA_SCRATCH_CAP`).
-    batch_deltas: Vec<Vec<(Tuple, bool, u64)>>,
     /// Reusable scratch of the columnar execution path (hash columns,
     /// per-node SoA deltas; see [`crate::columnar`]).
     pub(crate) col: crate::columnar::ColScratch,
@@ -167,9 +138,6 @@ impl Pipeline {
             pending_items: 0,
             expired_scratch: Vec::new(),
             probe_scratch: Vec::new(),
-            batch_run: Vec::new(),
-            batch_run_keys: FxHashSet::default(),
-            batch_deltas: Vec::new(),
             col: Default::default(),
             kernels: Default::default(),
             output: OutputSink::new(),
@@ -363,130 +331,6 @@ impl Pipeline {
         self.push_at_with(&mut DefaultSemantics, stream, key, payload, ts)
     }
 
-    // ----- batched ingestion -----
-
-    /// Process a whole [`TupleBatch`] to quiescence under the given
-    /// semantics, equivalent (by output lineage multiset) to pushing its
-    /// tuples one at a time in order.
-    ///
-    /// On [batchable](Plan::batchable) plans — scans and equi-joins — the
-    /// batch executes in two phases per flush: every batch tuple probes
-    /// the operator states *as they were before the batch* (plus an
-    /// explicit intra-batch pairing term), and only then are the batch's
-    /// delta tuples installed into the states. This amortizes queue and
-    /// dispatch overhead across the batch while producing exactly the
-    /// per-tuple result: the symmetric-join identity
-    /// `(L+dl)(R+dr) − LR = dl·R + L·dr + dl·dr` accounts every join pair
-    /// once. Window expiries landing mid-batch commute with pending
-    /// deferred inserts when every expiring key is absent from the run
-    /// (mid-migration too: completion bookkeeping is per key); otherwise
-    /// the run is flushed first, degrading toward per-tuple execution but
-    /// never changing the answer. Non-batchable plans (set-difference,
-    /// aggregation, non-`KeyEq` theta joins) and batches of one take the
-    /// per-tuple path directly.
-    ///
-    /// A `None` timestamp on a batch tuple means "default clock" (same
-    /// rule as [`Pipeline::ingest`]); a `Some(seq)` pins the arrival's
-    /// sequence number via [`Pipeline::set_next_seq`] (sharded routing).
-    pub fn push_batch_with(&mut self, sem: &mut impl Semantics, batch: &TupleBatch) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        if batch.len() < 2 || !self.plan.batchable() {
-            for t in batch.items() {
-                if let Some(seq) = t.seq {
-                    self.set_next_seq(seq);
-                }
-                let ts = match t.ts {
-                    Some(ts) => ts,
-                    None => self.last_ts.max(self.next_seq),
-                };
-                self.push_at_with(sem, t.stream, t.key, t.payload, ts)?;
-            }
-            return Ok(());
-        }
-        if self.pending_items > 0 {
-            return Err(JiscError::InvalidConfig(
-                "previous arrival not yet processed: run the pipeline before \
-                 ingesting the next batch"
-                    .into(),
-            ));
-        }
-        debug_assert!(self.batch_run.is_empty());
-        for t in batch.items() {
-            if let Err(e) = self.ingest_deferred(sem, t) {
-                // Leave the pipeline in the state a serial prefix of the
-                // batch would have produced.
-                self.flush_run(sem);
-                return Err(e);
-            }
-        }
-        self.flush_run(sem);
-        Ok(())
-    }
-
-    /// [`Pipeline::push_batch_with`] under the default semantics.
-    pub fn push_batch(&mut self, batch: &TupleBatch) -> Result<()> {
-        self.push_batch_with(&mut DefaultSemantics, batch)
-    }
-
-    /// Ingest one batch tuple without enqueuing its insert: sequence
-    /// numbering, window slide (with the expiry-commutation rule), and
-    /// freshness classification happen now; the insert itself is deferred
-    /// into `batch_run` until [`Pipeline::flush_run`].
-    pub(crate) fn ingest_deferred(
-        &mut self,
-        sem: &mut impl Semantics,
-        t: &BatchedTuple,
-    ) -> Result<()> {
-        if let Some(seq) = t.seq {
-            self.set_next_seq(seq);
-        }
-        let ts = match t.ts {
-            Some(ts) => ts,
-            None => self.last_ts.max(self.next_seq),
-        };
-        let ts = match self.admit_ts(ts)? {
-            Some(ts) => ts,
-            None => return Ok(()), // late tuple dropped, accounted in metrics
-        };
-        self.last_ts = ts;
-        let scan = self
-            .plan
-            .scan_of(t.stream)
-            .ok_or_else(|| JiscError::UnknownStream(format!("{}", t.stream)))?;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.metrics.tuples_in += 1;
-
-        self.slide_windows(t.stream, ts);
-        if !self.expired_scratch.is_empty() {
-            // Removals of key k commute with pending deferred inserts of
-            // keys ≠ k on equi-joins: the removed entry cannot match any
-            // pending insert, and all completion bookkeeping is per
-            // (state, key), so a `Remove`'s forwarding decision never
-            // depends on another key's history — complete states or not.
-            // An expiring key present in the run forces a flush first.
-            let commute = self
-                .expired_scratch
-                .iter()
-                .all(|old| !self.batch_run_keys.contains(&old.key));
-            if !commute {
-                self.flush_run(sem);
-            }
-            self.enqueue_removes();
-            self.run_with(sem);
-        }
-
-        let prev = self.fresh[t.stream.0 as usize].insert(t.key, seq);
-        let fresh = prev.is_none_or(|s| s < self.last_transition_seq);
-        let base = Arc::new(BaseTuple::new(t.stream, seq, t.key, t.payload));
-        self.rings[t.stream.0 as usize].push_back((ts, Arc::clone(&base)));
-        self.batch_run.push((scan, base, fresh, hash_key(t.key)));
-        self.batch_run_keys.insert(t.key);
-        Ok(())
-    }
-
     /// Slide the windows for an arrival on `stream` at `ts`, collecting
     /// the tuples that fall out into `expired_scratch` (cleared first).
     /// Count windows slide only on their own stream's arrivals; time
@@ -526,7 +370,7 @@ impl Pipeline {
 
     /// Enqueue one `Remove` per tuple of `expired_scratch` at its stream's
     /// scan node (draining the scratch) — the per-item expiry path of
-    /// per-tuple ingestion, the row-batch plane and non-batchable plans.
+    /// per-tuple ingestion and of watermarks on non-batchable plans.
     fn enqueue_removes(&mut self) {
         let mut expired = std::mem::take(&mut self.expired_scratch);
         for old in expired.drain(..) {
@@ -546,218 +390,6 @@ impl Pipeline {
             );
         }
         self.expired_scratch = expired;
-    }
-
-    /// Execute the deferred run: compute every node's delta against the
-    /// pre-run states (phase I), then install all deltas and emit at the
-    /// root (phase II). The strict phase separation is what keeps JISC
-    /// completion sound mid-batch — completion triggered by
-    /// [`Semantics::complete_keys`] reads only pre-run child states, so it
-    /// materializes exactly the old-only combinations, while every delta
-    /// entry contains at least one batch constituent; the two sets are
-    /// lineage-disjoint and nothing is double-counted.
-    pub(crate) fn flush_run(&mut self, sem: &mut impl Semantics) {
-        if self.batch_run.is_empty() {
-            return;
-        }
-        self.batch_run_keys.clear();
-        if self.batch_run.len() == 1 {
-            let (scan, base, fresh, _) = self.batch_run.pop().expect("non-empty run");
-            self.enqueue(
-                scan,
-                QueueItem {
-                    from: None,
-                    payload: Payload::Insert {
-                        tuple: Tuple::Base(base),
-                        fresh,
-                    },
-                },
-            );
-            self.run_with(sem);
-            return;
-        }
-        let mut deltas = std::mem::take(&mut self.batch_deltas);
-        for d in &mut deltas {
-            d.clear();
-        }
-        deltas.resize_with(self.plan.len(), Vec::new);
-        for (scan, base, fresh, h) in self.batch_run.drain(..) {
-            deltas[scan.0 as usize].push((Tuple::Base(base), fresh, h));
-        }
-
-        // Phase I: compute join deltas bottom-up against pre-run states.
-        // The arena allocates children before parents, so a node's delta
-        // slot always sits above both children's in the buffer.
-        //
-        // Equi-join probes run through the batch kernel: every delta tuple
-        // carries its pre-computed key hash, and the index lines the probe
-        // `PREFETCH_DIST` items ahead will touch are prefetched while the
-        // current probe's matches are materialized, hiding the cache-miss
-        // latency of out-of-cache state tables behind useful work.
-        let mut buf = self.take_probe_scratch();
-        for i in 0..self.plan.topo().len() {
-            let id = self.plan.topo()[i];
-            let node = self.plan.node(id);
-            let pred = match node.op {
-                OpKind::HashJoin => None,
-                OpKind::NljJoin(p) => Some(p),
-                _ => continue,
-            };
-            let (l, r) = (
-                node.left.expect("binary node has left child"),
-                node.right.expect("binary node has right child"),
-            );
-            let (li, ri) = (l.0 as usize, r.0 as usize);
-            let idx = id.0 as usize;
-            debug_assert!(li < idx && ri < idx, "children precede parent in arena");
-            let (lower, upper) = deltas.split_at_mut(idx);
-            let out = &mut upper[0];
-            self.complete_run_keys(sem, r, &lower[li]);
-            // Batch-aware just-in-time fault-back (tiered states): fault
-            // every cold chain this direction's delta will probe with one
-            // sequential read per touched segment, so the probe loop below
-            // runs against a hot-only store — the JISC completion
-            // discipline applied to the disk tier.
-            if self.plan.node(r).state.cold_entries() > 0 {
-                match pred {
-                    Some(_) => self.plan.node_mut(r).state.fault_in_all(&mut self.metrics),
-                    None => self.plan.node_mut(r).state.fault_in_keys(
-                        lower[li].iter().map(|(t, _, _)| t.key()),
-                        &mut self.metrics,
-                    ),
-                };
-            }
-            // Left delta × pre-run right state.
-            for di in 0..lower[li].len() {
-                if let Some((_, _, hn)) = lower[li].get(di + PREFETCH_DIST) {
-                    self.plan.node(r).state.prefetch(*hn);
-                }
-                let (t, f, h) = lower[li][di].clone();
-                let key = t.key();
-                buf.clear();
-                match pred {
-                    Some(pr) => self.scan_theta_state_into(r, pr, key, false, &mut buf),
-                    None => self.lookup_state_into_hashed(r, h, key, &mut buf),
-                }
-                for m in buf.drain(..) {
-                    out.push((Tuple::joined(key, t.clone(), m), f, h));
-                }
-            }
-            // Same completion and batch-aware prefault for the other
-            // direction.
-            self.complete_run_keys(sem, l, &lower[ri]);
-            if self.plan.node(l).state.cold_entries() > 0 {
-                match pred {
-                    Some(_) => self.plan.node_mut(l).state.fault_in_all(&mut self.metrics),
-                    None => self.plan.node_mut(l).state.fault_in_keys(
-                        lower[ri].iter().map(|(t, _, _)| t.key()),
-                        &mut self.metrics,
-                    ),
-                };
-            }
-            // Pre-run left state × right delta.
-            for di in 0..lower[ri].len() {
-                if let Some((_, _, hn)) = lower[ri].get(di + PREFETCH_DIST) {
-                    self.plan.node(l).state.prefetch(*hn);
-                }
-                let (t, f, h) = lower[ri][di].clone();
-                let key = t.key();
-                buf.clear();
-                match pred {
-                    Some(pr) => self.scan_theta_state_into(l, pr, key, true, &mut buf),
-                    None => self.lookup_state_into_hashed(l, h, key, &mut buf),
-                }
-                for m in buf.drain(..) {
-                    out.push((Tuple::joined(key, m.clone(), t.clone()), f, h));
-                }
-            }
-            // Intra-batch term: left delta × right delta on key equality
-            // (batchable theta joins are `KeyEq`, so key equality is the
-            // join condition for both operator kinds). The result carries
-            // the fresh flag of whichever side's tuple is the later
-            // arrival — the item that would have triggered the join in
-            // per-tuple execution. Pairing is keyed through a one-shot
-            // index over the right delta instead of a nested loop: the
-            // loop was O(|δl|·|δr|) and dominated large-batch flushes
-            // (the B=256 regression); keying keeps it O(|δl|+|δr|+pairs)
-            // while emitting in exactly the nested loop's order.
-            let (la, ra) = (&lower[li], &lower[ri]);
-            if !la.is_empty() && !ra.is_empty() {
-                if la.len() * ra.len() > INTRA_PAIR_KEYED_MIN {
-                    let mut by_key: FxHashMap<Key, Vec<u32>> = FxHashMap::default();
-                    for (j, (b, _, _)) in ra.iter().enumerate() {
-                        by_key.entry(b.key()).or_default().push(j as u32);
-                    }
-                    for (a, fa, h) in la {
-                        if let Some(js) = by_key.get(&a.key()) {
-                            for &j in js {
-                                let (b, fb, _) = &ra[j as usize];
-                                let f = if a.max_seq() > b.max_seq() { *fa } else { *fb };
-                                out.push((Tuple::joined(a.key(), a.clone(), b.clone()), f, *h));
-                            }
-                        }
-                    }
-                } else {
-                    for (a, fa, h) in la {
-                        for (b, fb, _) in ra {
-                            if a.key() == b.key() {
-                                let f = if a.max_seq() > b.max_seq() { *fa } else { *fb };
-                                out.push((Tuple::joined(a.key(), a.clone(), b.clone()), f, *h));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.recycle_probe_scratch(buf);
-
-        // Phase II: install every delta into its own node's state (hash
-        // rides along, so installs never rehash); the root's delta is the
-        // batch's query output.
-        for i in 0..self.plan.topo().len() {
-            let id = self.plan.topo()[i];
-            let idx = id.0 as usize;
-            if deltas[idx].is_empty() {
-                continue;
-            }
-            let is_root = self.plan.node(id).parent.is_none();
-            let mut d = std::mem::take(&mut deltas[idx]);
-            for (t, _fresh, h) in d.drain(..) {
-                if is_root {
-                    self.state_insert_hashed(id, h, t.clone());
-                    self.emit(t);
-                } else {
-                    self.state_insert_hashed(id, h, t);
-                }
-            }
-            deltas[idx] = d;
-        }
-        // Large batches with selective joins can balloon a delta buffer;
-        // keep the reusable capacity bounded so one outlier batch does not
-        // pin its high-water allocation forever.
-        for d in &mut deltas {
-            if d.capacity() > DELTA_SCRATCH_CAP {
-                d.shrink_to(DELTA_SCRATCH_CAP);
-            }
-        }
-        self.batch_deltas = deltas;
-    }
-
-    /// Row-plane call site of [`Semantics::complete_keys`]: hand the
-    /// semantics the key column of `delta` before it probes an incomplete
-    /// `state_node`.
-    fn complete_run_keys(
-        &mut self,
-        sem: &mut impl Semantics,
-        state_node: NodeId,
-        delta: &[(Tuple, bool, u64)],
-    ) {
-        if delta.is_empty() || self.plan.node(state_node).state.is_complete() {
-            return;
-        }
-        let keys: Vec<Key> = delta.iter().map(|(t, _, _)| t.key()).collect();
-        let hashes: Vec<u64> = delta.iter().map(|&(_, _, h)| h).collect();
-        sem.complete_keys(self, state_node, &keys, &hashes);
     }
 
     // ----- punctuation -----
@@ -973,13 +605,6 @@ impl Pipeline {
         node.state.fault_in_key(key, &mut self.metrics);
         node.state
             .for_each_match_hashed(h, key, &mut self.metrics, |t| out.push(t.clone()));
-    }
-
-    /// Prefetch the index lines a probe of node `n`'s state with hash `h`
-    /// will touch (no-op for list states).
-    #[inline]
-    pub fn state_prefetch(&self, n: NodeId, h: u64) {
-        self.plan.node(n).state.prefetch(h);
     }
 
     /// Number of entries matching `key` in node `n`'s state, without
@@ -1273,12 +898,12 @@ impl Pipeline {
     /// states (see [`crate::snapshot::BaseStateSnapshot`]).
     ///
     /// Returns `None` when the pipeline cannot be snapshotted right now:
-    /// mid-event (queued items or a deferred batch run in flight), or when
+    /// mid-event (queued items in flight), or when
     /// the plan contains an aggregate (aggregate accumulators are not part
     /// of the base state, so a base snapshot could not restore them; such
     /// plans recover by full replay instead).
     pub fn snapshot_base_state(&self) -> Option<crate::snapshot::BaseStateSnapshot> {
-        if self.pending_items > 0 || !self.batch_run.is_empty() {
+        if self.pending_items > 0 {
             return None;
         }
         if self
@@ -1354,12 +979,12 @@ impl Pipeline {
     /// (join) states and completion bookkeeping are the rescale layer's
     /// concern (`jisc-core`), which can see the whole plan. Unlike a
     /// snapshot restore this runs against a *live* pipeline; it only
-    /// refuses mid-event (queued items or a deferred batch run in flight).
+    /// refuses mid-event (queued items in flight).
     pub fn extract_base_range(
         &mut self,
         ranges: &[jisc_common::KeyRange],
     ) -> Result<crate::snapshot::BaseRangeExport> {
-        if self.pending_items > 0 || !self.batch_run.is_empty() {
+        if self.pending_items > 0 {
             return Err(JiscError::InvalidConfig(
                 "range extraction requires a quiescent pipeline".into(),
             ));
@@ -1431,7 +1056,7 @@ impl Pipeline {
     /// **not** rebuilt here: the caller marks them as completion debt
     /// (just-in-time) or materializes them eagerly via the rescale layer.
     pub fn absorb_base_range(&mut self, export: &crate::snapshot::BaseRangeExport) -> Result<()> {
-        if self.pending_items > 0 || !self.batch_run.is_empty() {
+        if self.pending_items > 0 {
             return Err(JiscError::InvalidConfig(
                 "range absorption requires a quiescent pipeline".into(),
             ));

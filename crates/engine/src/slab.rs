@@ -24,10 +24,8 @@
 //!   case where the old layout degraded to O(bucket) per expiry.
 //!
 //! The index exposes pre-hashed probes ([`SlabStore::for_each_match_hashed`])
-//! and two read-only hints: [`SlabStore::prefetch`], one hash's index group,
-//! for the rolling lookahead of
-//! [`Pipeline::push_batch_with`](crate::Pipeline::push_batch_with); and
-//! [`SlabStore::warm`], a staged walk of a whole item column down each
+//! and two read-only hints: [`SlabStore::prefetch`], one hash's index group;
+//! and [`SlabStore::warm`], a staged walk of a whole item column down each
 //! item's access path (group → pair → chain meta → slot → ring neighbours
 //! and tuple), which the columnar kernels run ahead of their removal, probe
 //! and install loops so the dependent misses of all items overlap.
@@ -666,9 +664,9 @@ impl SlabStore {
     ///
     /// * stage 0 — [`SlabStore::prefetch`]: control group and pair lines;
     /// * stage 1 — find the key (throw-away depth count): its
-    ///   [`ChainMeta`] and the singleton mirror's tuple; ahead of an
+    ///   `ChainMeta` and the singleton mirror's tuple; ahead of an
     ///   install, for an absent key, the meta the insert will claim;
-    /// * stage 2 — the chain's head and tail [`Slot`]s;
+    /// * stage 2 — the chain's head and tail `Slot`s;
     /// * stage 3 — the head slot's ring neighbours, chain successor and
     ///   tuple.
     ///
@@ -944,7 +942,7 @@ impl SlabStore {
         debug_assert!(
             !self.has_cold(key),
             "probe of cold-resident key {key} without fault-in; callers must \
-             fault_in_key(s) first (the batch prefault in flush_run)"
+             fault_in_key(s) first (the batch prefault in probe_direction)"
         );
         if let Some(idx) = self.index.find(h, key, &mut m.probe_depth) {
             // Singleton chain: the hot pair's inline mirror answers the

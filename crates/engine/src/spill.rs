@@ -16,10 +16,10 @@
 //!
 //! The discipline for reading state back mirrors JISC's just-in-time state
 //! completion: a probe that misses hot but hits the cold-resident key index
-//! does not scan the archive — the probed keys of a whole `flush_run` batch
+//! does not scan the archive — the probed keys of a whole columnar batch
 //! are collected first and faulted back in one sequential segment read
-//! ([`ColdTier::fault_keys`]), then the normal batch-probe kernel runs over
-//! a hot-only store. Completion fills in keys the *window* owes a state;
+//! ([`ColdTier::fault_keys`]), then the normal probe kernel runs over a
+//! hot-only store. Completion fills in keys the *window* owes a state;
 //! fault-back fills in keys the *disk* owes the window.
 //!
 //! Segment files use no external dependencies: a magic header, then one

@@ -346,8 +346,8 @@ impl State {
     }
 
     /// [`State::for_each_match`] with the key's hash already computed —
-    /// the batch-probe kernel hashes a whole `TupleBatch` once and probes
-    /// with [`State::prefetch`] warming the index ahead of each visit.
+    /// the columnar flush hashes a whole `ColumnarBatch` once and probes
+    /// after [`State::warm`] has staged the index lines of the column.
     /// Accounting is identical to [`State::for_each_match`].
     pub fn for_each_match_hashed(&self, h: u64, key: Key, m: &mut Metrics, f: impl FnMut(&Tuple)) {
         match &self.store {

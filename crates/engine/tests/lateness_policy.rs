@@ -59,20 +59,27 @@ fn admit_within_bound_clamps_and_counts() {
 
 #[test]
 fn batched_ingest_honors_the_policy() {
-    use jisc_common::{BatchedTuple, TupleBatch};
+    use jisc_common::ColumnarBatch;
+    let rows = [10u64, 4, 12, 11, 13];
     let mut pipe = timed_pipe(100);
+    let mut per_tuple = timed_pipe(100);
     pipe.set_lateness_policy(Some(LatenessPolicy::Drop));
-    let mut batch = TupleBatch::new(8);
-    for (i, ts) in [10u64, 4, 12, 11, 13].iter().enumerate() {
+    per_tuple.set_lateness_policy(Some(LatenessPolicy::Drop));
+    let mut batch = ColumnarBatch::new(8);
+    for (i, &ts) in rows.iter().enumerate() {
         let stream = StreamId((i % 2) as u16);
-        let mut t = BatchedTuple::new(stream, 7, 0);
-        t.ts = Some(*ts);
-        batch.push(t).unwrap();
+        batch.push_stamped(stream, 7, 0, Some(ts), None).unwrap();
+        per_tuple.push_at(stream, 7, 0, ts).unwrap();
     }
-    pipe.push_batch(&batch).unwrap();
+    pipe.push_columnar(&batch).unwrap();
     assert_eq!(pipe.metrics.dropped_late, 2, "ts=4 and ts=11 regress");
     assert_eq!(pipe.metrics.tuples_in, 3);
     assert_eq!(pipe.metrics.tuples_in + pipe.metrics.dropped_late, 5);
+    assert_eq!(pipe.metrics, per_tuple.metrics, "batch ≡ per-tuple");
+    assert_eq!(
+        pipe.output.lineage_multiset(),
+        per_tuple.output.lineage_multiset()
+    );
 }
 
 #[test]

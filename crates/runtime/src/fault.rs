@@ -16,7 +16,7 @@
 use std::any::Any;
 use std::sync::{Mutex, Once};
 
-use jisc_common::Event;
+use jisc_common::{ColumnarBatch, Event};
 
 /// One scripted fault. `at` positions are expressed in *tuples routed to
 /// the shard so far*: the fault fires on the data event during which the
@@ -180,19 +180,13 @@ impl FaultInjector {
     /// the action. Only data batches trip faults; control events (expiry,
     /// barriers, flush) never do.
     pub fn trigger<P>(&self, shard: usize, ev: &Event<P>, tuples_before: u64) -> Option<Triggered> {
-        let (len, seq_hit): (u64, &dyn Fn(u64) -> bool) = match ev {
-            Event::Batch(batch) => (batch.len() as u64, &|at| {
-                batch.items().iter().any(|t| t.seq == Some(at))
-            }),
-            Event::Columnar(batch) => (batch.len() as u64, &|at| {
-                (0..batch.len()).any(|i| batch.seq_at(i) == Some(at))
-            }),
-            _ => return None,
+        let Event::Columnar(batch) = ev else {
+            return None;
         };
         let mut armed = self.armed.lock().unwrap_or_else(|e| e.into_inner());
-        let hit = armed.iter().position(|a| {
-            a.shard() == shard && event_matches(len, seq_hit, a.at(), tuples_before)
-        })?;
+        let hit = armed
+            .iter()
+            .position(|a| a.shard() == shard && batch_matches(batch, a.at(), tuples_before))?;
         let action = armed.remove(hit);
         Some(match action {
             FaultAction::PanicAt { .. } => Triggered::Panic,
@@ -204,15 +198,11 @@ impl FaultInjector {
     }
 }
 
-/// True when processing a data batch of `len` tuples would reach or cross
-/// position `at`, or when a tuple in it carries an explicit sequence number
-/// equal to `at` (`seq_hit`).
-fn event_matches(len: u64, seq_hit: &dyn Fn(u64) -> bool, at: u64, tuples_before: u64) -> bool {
-    let after = tuples_before + len;
-    if tuples_before < at && at <= after {
-        return true;
-    }
-    seq_hit(at)
+/// True when processing `batch` would reach or cross position `at`, or
+/// when a tuple in it carries an explicit sequence number equal to `at`.
+fn batch_matches(batch: &ColumnarBatch, at: u64, tuples_before: u64) -> bool {
+    let after = tuples_before + batch.len() as u64;
+    (tuples_before < at && at <= after) || (0..batch.len()).any(|i| batch.seq_at(i) == Some(at))
 }
 
 /// Payload type carried by injected panics, so supervisors (and humans
@@ -262,14 +252,14 @@ pub fn payload_string(payload: &(dyn Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jisc_common::{BatchedTuple, StreamId, TupleBatch};
+    use jisc_common::StreamId;
 
     fn batch(n: usize) -> Event<()> {
-        let mut b = TupleBatch::new(n.max(1));
+        let mut b = ColumnarBatch::new(n);
         for _ in 0..n {
-            b.push(BatchedTuple::new(StreamId(0), 1, 0)).unwrap();
+            b.push(StreamId(0), 1, 0).unwrap();
         }
-        Event::Batch(b)
+        Event::Columnar(b)
     }
 
     #[test]
@@ -289,9 +279,9 @@ mod tests {
     #[test]
     fn explicit_tuple_seq_matches_directly() {
         let inj = FaultInjector::new(FaultPlan::new().drop_batch_at(0, 99));
-        let mut t = BatchedTuple::new(StreamId(0), 1, 0);
-        t.seq = Some(99);
-        let ev: Event<()> = Event::Batch(TupleBatch::of_one(t));
+        let mut b = ColumnarBatch::new(1);
+        b.push_stamped(StreamId(0), 1, 0, None, Some(99)).unwrap();
+        let ev: Event<()> = Event::Columnar(b);
         assert_eq!(inj.trigger(0, &ev, 0), Some(Triggered::DropBatch));
     }
 

@@ -15,18 +15,18 @@
 //! ```
 //! use jisc_core::Strategy;
 //! use jisc_engine::{Catalog, JoinStyle, PlanSpec};
-//! use jisc_runtime::{BatchedTuple, StreamDriver, TupleBatch};
-//! use jisc_common::StreamId;
+//! use jisc_runtime::StreamDriver;
+//! use jisc_common::{ColumnarBatch, StreamId};
 //!
 //! let catalog = Catalog::uniform(&["R", "S"], 100).unwrap();
 //! let plan = PlanSpec::left_deep(&["R", "S"], JoinStyle::Hash);
 //! let driver = StreamDriver::spawn(catalog, &plan, Strategy::Jisc, 256).unwrap();
 //!
 //! let tx = driver.sender();
-//! let mut batch = TupleBatch::new(64);
-//! batch.push(BatchedTuple::new(StreamId(0), 7, 0)).unwrap();
-//! batch.push(BatchedTuple::new(StreamId(1), 7, 0)).unwrap();
-//! tx.send_batch(batch).unwrap();
+//! let mut batch = ColumnarBatch::new(64);
+//! batch.push(StreamId(0), 7, 0).unwrap();
+//! batch.push(StreamId(1), 7, 0).unwrap();
+//! tx.send_columnar(batch).unwrap();
 //! drop(tx); // close our handle; the driver drains what was sent
 //!
 //! let report = driver.shutdown().unwrap();
@@ -49,8 +49,8 @@ use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-pub use jisc_common::{BatchedTuple, Event, TupleBatch, WorkerFault};
-use jisc_common::{JiscError, Key, Metrics, Result, StreamId};
+pub use jisc_common::{BatchedTuple, Event, WorkerFault};
+use jisc_common::{ColumnarBatch, JiscError, Key, Metrics, Result, StreamId};
 use jisc_core::{AdaptiveEngine, Strategy};
 use jisc_engine::{Catalog, PlanSpec};
 use jisc_optimizer::stats::DEFAULT_SUGGESTED_BATCH;
@@ -150,23 +150,19 @@ impl EventSender {
             })
     }
 
-    /// Enqueue a whole data batch.
-    pub fn send_batch(&self, batch: TupleBatch) -> Result<()> {
-        self.send(Event::Batch(batch))
-    }
-
-    /// Enqueue a whole columnar batch (vectorized kernel path).
-    pub fn send_columnar(&self, batch: jisc_common::ColumnarBatch) -> Result<()> {
+    /// Enqueue a whole columnar batch, cut exactly as the producer built
+    /// it.
+    pub fn send_columnar(&self, batch: ColumnarBatch) -> Result<()> {
         self.send(Event::Columnar(batch))
     }
 
     /// Convenience: enqueue one arrival as a batch of one.
     pub fn send_tuple(&self, stream: u16, key: Key, payload: u64) -> Result<()> {
-        self.send(Event::Batch(TupleBatch::of_one(BatchedTuple::new(
-            StreamId(stream),
-            key,
-            payload,
-        ))))
+        let mut batch = ColumnarBatch::new(1);
+        batch
+            .push(StreamId(stream), key, payload)
+            .expect("an empty batch has room for one row");
+        self.send_columnar(batch)
     }
 }
 
@@ -229,28 +225,33 @@ impl StreamDriver {
     }
 
     /// Enqueue a data batch, auto-cutting it at the batch size the engine
-    /// thread's selectivity stats suggest: match-heavy workloads get small
-    /// cuts (bounding the quadratic intra-batch pairing term), selective
-    /// ones get large cuts that amortize per-batch overhead. Batches at or
-    /// under the suggested size ship unchanged; oversized ones are split
-    /// into suggested-size chunks (arrival order preserved). Producers who
-    /// want exact control over cut points should use
-    /// [`EventSender::send_batch`] instead.
-    pub fn send_batch(&self, batch: TupleBatch) -> Result<()> {
+    /// thread's selectivity stats suggest (read once per call): match-heavy
+    /// workloads get small cuts (bounding the quadratic intra-batch pairing
+    /// term), selective ones get large cuts that amortize per-batch
+    /// overhead. Batches at or under the suggested size ship unchanged;
+    /// oversized ones are split into suggested-size chunks (arrival order,
+    /// pinned timestamps and sequence numbers preserved; payloads travel as
+    /// opaque values, so a blob arena does not follow its rows into the
+    /// chunks). Producers who want exact control over cut points should use
+    /// [`EventSender::send_columnar`] instead.
+    pub fn send_batch(&self, batch: ColumnarBatch) -> Result<()> {
         let cut = self.suggested_batch_size();
         if batch.len() <= cut {
-            return self.send_event(Event::Batch(batch));
+            return self.send_event(Event::Columnar(batch));
         }
-        let mut chunk = TupleBatch::new(cut);
-        for &t in batch.items() {
-            chunk.push(t).expect("chunk is shipped before it fills");
+        let mut chunk = ColumnarBatch::new(cut);
+        for i in 0..batch.len() {
+            let t = batch.row(i);
+            chunk
+                .push_stamped(t.stream, t.key, t.payload, t.ts, t.seq)
+                .expect("chunk is shipped before it fills");
             if chunk.is_full() {
-                let full = std::mem::replace(&mut chunk, TupleBatch::new(cut));
-                self.send_event(Event::Batch(full))?;
+                let full = std::mem::replace(&mut chunk, ColumnarBatch::new(cut));
+                self.send_event(Event::Columnar(full))?;
             }
         }
         if !chunk.is_empty() {
-            self.send_event(Event::Batch(chunk))?;
+            self.send_event(Event::Columnar(chunk))?;
         }
         Ok(())
     }
@@ -351,7 +352,6 @@ fn worker_loop(
         match rx.recv() {
             Ok(Msg::Event(ev)) => {
                 let (batch_len, is_barrier) = match &ev {
-                    Event::Batch(b) => (b.len() as u64, false),
                     Event::Columnar(b) => (b.len() as u64, false),
                     Event::MigrationBarrier(_) => (0, true),
                     Event::Expiry(_)
@@ -360,24 +360,14 @@ fn worker_loop(
                     | Event::Repartition(_) => (0, false),
                 };
                 arrivals.iter_mut().for_each(|c| *c = 0);
-                match &ev {
-                    // Out-of-range stream ids are left uncounted; the engine
-                    // rejects them below and the loop faults out anyway.
-                    Event::Batch(b) => {
-                        for t in b.items() {
-                            if let Some(c) = arrivals.get_mut(t.stream.0 as usize) {
-                                *c += 1;
-                            }
+                // Out-of-range stream ids are left uncounted; the engine
+                // rejects them below and the loop faults out anyway.
+                if let Event::Columnar(b) = &ev {
+                    for s in b.streams() {
+                        if let Some(c) = arrivals.get_mut(s.0 as usize) {
+                            *c += 1;
                         }
                     }
-                    Event::Columnar(b) => {
-                        for s in b.streams() {
-                            if let Some(c) = arrivals.get_mut(s.0 as usize) {
-                                *c += 1;
-                            }
-                        }
-                    }
-                    _ => {}
                 }
                 let out_before = engine.metrics().tuples_out;
                 // Supervised application: a panic (or engine error) becomes
@@ -405,9 +395,13 @@ fn worker_loop(
                         est.observe_batch(StreamId(i as u16), a, produced * a / batch_len);
                     }
                 }
+                // Refresh the mirror whenever the event count crosses a
+                // multiple of 1024 — batches of any length cross it, where
+                // landing exactly on one is luck.
+                let crossed = (events + batch_len) / 1024 != events / 1024;
                 events += batch_len;
                 transitions += u64::from(is_barrier);
-                if events.is_multiple_of(1024) {
+                if crossed {
                     refresh(&mirror, &engine, events, est.suggest_batch_size());
                 }
             }
@@ -479,16 +473,16 @@ mod tests {
         // threaded run over batches of 64
         let d = driver(&["R", "S", "T"], 50, 64);
         let tx = d.sender();
-        let mut batch = TupleBatch::new(64);
+        let mut batch = ColumnarBatch::new(64);
         for &(s, k, p) in &events {
-            batch.push(BatchedTuple::new(StreamId(s), k, p)).unwrap();
+            batch.push(StreamId(s), k, p).unwrap();
             if batch.is_full() {
-                tx.send_batch(std::mem::replace(&mut batch, TupleBatch::new(64)))
+                tx.send_columnar(std::mem::replace(&mut batch, ColumnarBatch::new(64)))
                     .unwrap();
             }
         }
         if !batch.is_empty() {
-            tx.send_batch(batch).unwrap();
+            tx.send_columnar(batch).unwrap();
         }
         drop(tx);
         let report = d.shutdown().unwrap();
@@ -528,9 +522,9 @@ mod tests {
 
         // One producer batch far above the suggestion: the driver re-cuts.
         let rest = &events[512..];
-        let mut big = TupleBatch::new(rest.len());
+        let mut big = ColumnarBatch::new(rest.len());
         for &(s, k, p) in rest {
-            big.push(BatchedTuple::new(StreamId(s), k, p)).unwrap();
+            big.push(StreamId(s), k, p).unwrap();
         }
         d.send_batch(big).unwrap();
         drop(tx);
@@ -576,6 +570,35 @@ mod tests {
         drop(tx);
         let report = d.shutdown().unwrap();
         assert_eq!(report.events, 2_000);
+    }
+
+    /// 25 batches of 100 never land the event count on a multiple of 1024,
+    /// so a refresh rule that waits for one never fires and `peek()` stays
+    /// at the spawn-time view while the engine is 2,500 arrivals in.
+    #[test]
+    fn peek_refreshes_when_batches_straddle_the_refresh_grid() {
+        let d = driver(&["R", "S"], 50, 64);
+        let tx = d.sender();
+        for b in 0..25u64 {
+            let mut batch = ColumnarBatch::new(100);
+            for i in 0..100u64 {
+                batch
+                    .push(StreamId((i % 2) as u16), i % 5, b * 100 + i)
+                    .unwrap();
+            }
+            tx.send_columnar(batch).unwrap();
+        }
+        let snap = d.snapshot().unwrap();
+        assert_eq!(snap.events, 2_500);
+        let peek = d.peek();
+        assert!(
+            (2_048..=snap.events).contains(&peek.events),
+            "mirror is stale: peek {} vs snapshot {}",
+            peek.events,
+            snap.events
+        );
+        drop(tx);
+        d.shutdown().unwrap();
     }
 
     #[test]
@@ -644,11 +667,9 @@ mod tests {
         let mut saw_timeout = false;
         for i in 0..200_000u64 {
             let mk = || {
-                Event::Batch(TupleBatch::of_one(BatchedTuple::new(
-                    StreamId((i % 3) as u16),
-                    i % 7,
-                    0,
-                )))
+                let mut b = ColumnarBatch::new(1);
+                b.push(StreamId((i % 3) as u16), i % 7, 0).unwrap();
+                Event::Columnar(b)
             };
             if !saw_full {
                 match tx.try_send(mk()) {

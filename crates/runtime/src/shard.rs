@@ -41,8 +41,8 @@
 //! # In-band events
 //!
 //! Shard queues carry the unified [`Event`] stream: data travels as
-//! [`Event::Batch`] (router-built [`TupleBatch`](jisc_common::TupleBatch)es stamping each tuple with
-//! its global sequence number and timestamp), and
+//! [`Event::Columnar`] (router-staged [`ColumnarBatch`]es stamping each
+//! tuple with its global sequence number and timestamp), and
 //! [`ShardedExecutor::transition`] validates the new plan once on the
 //! router (compile, same-query and reorderability checks), then broadcasts
 //! [`Event::MigrationBarrier`] on every shard's FIFO queue. Each worker
@@ -555,7 +555,6 @@ impl ReplayEvent {
     /// Data tuples this entry carries (for shed/replay accounting).
     fn tuple_count(&self) -> u64 {
         match self {
-            ReplayEvent::Event(Event::Batch(b)) => b.len() as u64,
             ReplayEvent::Event(Event::Columnar(b)) => b.len() as u64,
             _ => 0,
         }

@@ -474,7 +474,6 @@ struct Delivery {
 /// Highest router-stamped sequence number carried by a data event.
 fn max_seq(ev: &Event<PlanSpec>) -> Option<SeqNo> {
     match ev {
-        Event::Batch(b) => b.items().iter().filter_map(|t| t.seq).max(),
         Event::Columnar(b) => (0..b.len()).filter_map(|i| b.seq_at(i)).max(),
         _ => None,
     }
@@ -668,15 +667,13 @@ pub(crate) fn worker_loop(
             }
         };
         let batch_len = match &ev {
-            Event::Batch(b) => b.len() as u64,
             Event::Columnar(b) => b.len() as u64,
             _ => 0,
         };
         // Lift the router's ingest stamp off the batch before the event
         // moves into the engine; the latency is recorded only if the
         // apply succeeds (a faulted event's latency is regenerated by
-        // replay). The router ships data as Columnar, the only event
-        // kind carrying the stamp.
+        // replay).
         let stamp = match &ev {
             Event::Columnar(b) => b.origin_ns().map(|o| (o, b.phase())),
             _ => None,
@@ -692,7 +689,7 @@ pub(crate) fn worker_loop(
             tuples += batch_len;
             continue;
         }
-        if !matches!(ev, Event::Batch(_) | Event::Columnar(_)) {
+        if !matches!(ev, Event::Columnar(_)) {
             // Punctuation and control traffic never overtake data: a held
             // delivery is released before them. (The injector only trips
             // on data events, so `injected` is None here.)
@@ -712,7 +709,7 @@ pub(crate) fn worker_loop(
         }
         // A data event arriving while one is held overtakes it on the
         // wire; the guard re-applies them in sequence order.
-        if matches!(ev, Event::Batch(_) | Event::Columnar(_)) {
+        if matches!(ev, Event::Columnar(_)) {
             drain_held!();
         }
         // Synthesize the re-delivery only for seq-stamped events — without

@@ -6,7 +6,7 @@
 //!    both stores with the same length, key set, and per-key match
 //!    sequences (order included: both visit in per-key insertion order).
 //!    Clones (the snapshot path) are compared too.
-//! 2. **Ingest level** — the batch-probe kernel (`push_batch`) emits the
+//! 2. **Ingest level** — the columnar flush (`push_columnar`) emits the
 //!    same lineage multiset as tuple-at-a-time `push`, for arbitrary
 //!    batch partitions of the same arrival sequence.
 //! 3. **Strategy level** — Jisc, Moving State, Parallel Track, and a
@@ -20,7 +20,7 @@
 //!    checkpoint/restore, and the hash-chained durable manifest rejects
 //!    any single flipped byte on recovery.
 
-use jisc_common::{BaseTuple, Metrics, StreamId, Tuple, TupleBatch};
+use jisc_common::{BaseTuple, ColumnarBatch, Metrics, StreamId, Tuple};
 use jisc_core::AdaptiveEngine;
 use jisc_engine::{
     BaselineStore, Catalog, DurableCheckpointStore, JoinStyle, Pipeline, PlanSpec, ScratchDir,
@@ -228,9 +228,9 @@ proptest! {
         );
     }
 
-    /// The batch-probe kernel is a pure performance change: partitioning
-    /// the same arrival sequence into arbitrary batches and ingesting via
-    /// `push_batch` yields exactly the serial `push` lineage multiset.
+    /// The columnar flush is a pure performance change: partitioning the
+    /// same arrival sequence into arbitrary batches and ingesting via
+    /// `push_columnar` yields exactly the serial `push` lineage multiset.
     #[test]
     fn batched_ingest_matches_serial(
         (streams, arr) in arrivals(4, 160),
@@ -248,13 +248,11 @@ proptest! {
         let mut cut = cuts.iter().cycle();
         while i < arr.len() {
             let end = (i + cut.next().unwrap()).min(arr.len());
-            let mut batch = TupleBatch::new(end - i);
+            let mut batch = ColumnarBatch::new(end - i);
             for &(s, k) in &arr[i..end] {
-                batch
-                    .push(jisc_common::BatchedTuple::new(StreamId(s), k, 0))
-                    .unwrap();
+                batch.push(StreamId(s), k, 0).unwrap();
             }
-            batched.push_batch(&batch).unwrap();
+            batched.push_columnar(&batch).unwrap();
             i = end;
         }
 
