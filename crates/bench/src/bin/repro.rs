@@ -5,7 +5,7 @@
 //!
 //! EXPERIMENT   any of: fig7 fig8 fig9 fig10 fig10a fig10b fig11 fig12
 //!              analysis stairs overlap setdiff ablation throughput
-//!              kernels recovery elastic state
+//!              recovery elastic chaos
 //!              (default: all)
 //! --scale X    multiply window/tuple counts by X (default 1.0;
 //!              the paper's setup corresponds to roughly --scale 20)

@@ -6,15 +6,11 @@ pub mod analysis_exp;
 pub mod chaos;
 pub mod elastic;
 pub mod frequency;
-pub mod kernels;
 pub mod latency;
 pub mod migration;
 pub mod normal_op;
-pub mod observability;
 pub mod overlap;
 pub mod recovery_exp;
 pub mod setdiff_exp;
-pub mod spill_exp;
 pub mod stairs_exp;
-pub mod state_exp;
 pub mod throughput;

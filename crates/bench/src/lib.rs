@@ -10,7 +10,8 @@
 //!
 //! Each experiment returns a [`table::Table`] carrying the measured rows
 //! and the shape the paper predicts, rendered as markdown for
-//! `EXPERIMENTS.md`. Criterion micro/figure benches live in `benches/`.
+//! `EXPERIMENTS.md`. Engine performance is measured by the separate
+//! `perf` package, not here.
 
 pub mod experiments;
 pub mod harness;
@@ -34,13 +35,9 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "setdiff",
     "ablation",
     "throughput",
-    "kernels",
     "recovery",
     "elastic",
-    "state",
-    "spill",
     "chaos",
-    "observability",
 ];
 
 /// Run one experiment by id (returns one or more tables).
@@ -60,13 +57,9 @@ pub fn run_experiment(id: &str, scale: Scale) -> Option<Vec<Table>> {
         "overlap" => vec![overlap::overlap(scale)],
         "setdiff" => vec![setdiff_exp::setdiff(scale)],
         "throughput" => vec![throughput::throughput(scale)],
-        "kernels" => vec![kernels::kernels(scale)],
         "recovery" => vec![recovery_exp::recovery(scale)],
         "elastic" => vec![elastic::elastic(scale)],
-        "state" => vec![state_exp::state(scale)],
-        "spill" => vec![spill_exp::spill(scale)],
         "chaos" => vec![chaos::chaos(scale)],
-        "observability" => vec![observability::observability(scale)],
         "ablation" => vec![
             ablation::ablation_selectivity(scale),
             ablation::ablation_completion(scale),

@@ -26,22 +26,14 @@ pub enum JiscError {
     /// A worker/engine thread died of a panic; carries the shard index and
     /// the stringified panic payload.
     WorkerPanic {
-        /// Index of the shard (0 for the single-threaded driver).
+        /// Index of the shard.
         shard: usize,
         /// Stringified panic payload.
         payload: String,
     },
-    /// A bounded queue was full and the overload policy refused to block.
-    QueueFull(String),
     /// A bounded send did not complete within its timeout (backpressure
     /// persisted for the whole window).
     SendTimeout {
-        /// The timeout that elapsed, in milliseconds.
-        millis: u64,
-    },
-    /// A shutdown join did not complete within its timeout; the worker
-    /// thread may still be running (leaked).
-    ShutdownTimeout {
         /// The timeout that elapsed, in milliseconds.
         millis: u64,
     },
@@ -58,15 +50,8 @@ impl fmt::Display for JiscError {
             JiscError::WorkerPanic { shard, payload } => {
                 write!(f, "worker for shard {shard} panicked: {payload}")
             }
-            JiscError::QueueFull(m) => write!(f, "queue full: {m}"),
             JiscError::SendTimeout { millis } => {
                 write!(f, "send timed out after {millis} ms (queue full)")
-            }
-            JiscError::ShutdownTimeout { millis } => {
-                write!(
-                    f,
-                    "shutdown timed out after {millis} ms (worker still running)"
-                )
             }
         }
     }
@@ -99,12 +84,6 @@ mod tests {
         assert!(JiscError::SendTimeout { millis: 250 }
             .to_string()
             .contains("250 ms"));
-        assert!(JiscError::ShutdownTimeout { millis: 1000 }
-            .to_string()
-            .contains("still running"));
-        assert!(JiscError::QueueFull("shard 1".into())
-            .to_string()
-            .contains("shard 1"));
     }
 
     #[test]

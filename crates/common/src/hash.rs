@@ -14,9 +14,8 @@ pub struct FxHasher {
     state: u64,
 }
 
-/// The Fx multiplier, shared with the column kernels so whole-column
-/// hashing and shard routing stay bit-identical to the scalar paths.
-pub(crate) const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+/// The Fx multiplier.
+const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 impl FxHasher {
     #[inline]
@@ -88,22 +87,6 @@ pub type FxHashSet<K> = std::collections::HashSet<K, BuildHasherDefault<FxHasher
 pub fn hash_key(key: u64) -> u64 {
     let h = key.wrapping_mul(SEED);
     h ^ (h >> 32)
-}
-
-/// Partition a join-attribute value onto one of `shards` workers.
-///
-/// The runtime's sharded executor routes every arrival with the same key to
-/// the same worker, so this must be a pure function of the key. Raw keys are
-/// often sequential integers, so the value is mixed through [`FxHasher`]
-/// first to avoid keying all hot ranges onto one shard.
-#[inline]
-pub fn shard_of(key: u64, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let mut h = FxHasher::default();
-    h.write_u64(key);
-    (h.finish() % shards as u64) as usize
 }
 
 #[cfg(test)]

@@ -8,14 +8,12 @@
 //! ctrl-tag SWAR probing (`jisc-engine::slab`) from the index into the data
 //! plane itself.
 //!
-//! Every kernel is definitionally equivalent to its scalar counterpart in
-//! [`crate::hash`] — [`hash_column`] produces bit-identical values to
-//! [`hash_key`] and [`shard_column`] to
-//! [`shard_of`](crate::shard_of) — so pre-hashed columns can feed the slab
-//! store's `insert_hashed`/`for_each_match_hashed` entry points directly.
+//! [`hash_column`] produces bit-identical values to the scalar
+//! [`hash_key`], so pre-hashed columns can feed the slab store's
+//! `insert_hashed`/`for_each_match_hashed` entry points directly.
 
 use crate::columnar::SelBitmap;
-use crate::hash::{hash_key, SEED};
+use crate::hash::hash_key;
 use crate::tuple::Key;
 
 /// Unroll width of the column loops. Four independent 64-bit lanes per
@@ -44,22 +42,6 @@ pub fn hash_column(keys: &[Key], out: &mut Vec<u64>) {
     }
 }
 
-/// Route a whole key column onto `shards` workers, appending one shard
-/// index per key to `out` (cleared first). Identical to
-/// [`shard_of`](crate::shard_of) per element: the Fx mix of a single
-/// `u64` write collapses to one multiply, so the column form is a pure
-/// multiply-modulo loop.
-pub fn shard_column(keys: &[Key], shards: usize, out: &mut Vec<u32>) {
-    out.clear();
-    out.reserve(keys.len());
-    if shards <= 1 {
-        out.resize(keys.len(), 0);
-        return;
-    }
-    let n = shards as u64;
-    out.extend(keys.iter().map(|&k| (k.wrapping_mul(SEED) % n) as u32));
-}
-
 /// Evaluate a key predicate over a whole column into a selection bitmap
 /// (cleared first): bit `i` is set iff `pred(keys[i])`.
 ///
@@ -86,23 +68,9 @@ pub fn eq_bitmap(keys: &[Key], probe: Key, out: &mut SelBitmap) {
     fill_bitmap(keys, out, |k| k == probe);
 }
 
-/// Minimum and maximum of a `u64` column (`None` when empty). Used to
-/// bound a batch's timestamp range in one pass.
-pub fn min_max(vals: &[u64]) -> Option<(u64, u64)> {
-    let (&first, rest) = vals.split_first()?;
-    let mut lo = first;
-    let mut hi = first;
-    for &v in rest {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    Some((lo, hi))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::shard_of;
     use crate::rng::SplitMix64;
 
     fn random_keys(n: usize, seed: u64) -> Vec<Key> {
@@ -118,17 +86,6 @@ mod tests {
             hash_column(&keys, &mut out);
             let scalar: Vec<u64> = keys.iter().map(|&k| hash_key(k)).collect();
             assert_eq!(out, scalar, "n={n}");
-        }
-    }
-
-    #[test]
-    fn shard_column_matches_scalar() {
-        for shards in [1, 2, 3, 4, 8] {
-            let keys = random_keys(100, 7);
-            let mut out = Vec::new();
-            shard_column(&keys, shards, &mut out);
-            let scalar: Vec<u32> = keys.iter().map(|&k| shard_of(k, shards) as u32).collect();
-            assert_eq!(out, scalar, "shards={shards}");
         }
     }
 
@@ -156,20 +113,10 @@ mod tests {
     }
 
     #[test]
-    fn min_max_bounds() {
-        assert_eq!(min_max(&[]), None);
-        assert_eq!(min_max(&[5]), Some((5, 5)));
-        assert_eq!(min_max(&[3, 9, 1, 7]), Some((1, 9)));
-    }
-
-    #[test]
     fn kernels_reuse_scratch() {
         let keys = random_keys(10, 1);
         let mut out = vec![99; 500];
         hash_column(&keys, &mut out);
         assert_eq!(out.len(), 10, "output is cleared, not appended");
-        let mut shards = vec![7u32; 500];
-        shard_column(&keys, 4, &mut shards);
-        assert_eq!(shards.len(), 10);
     }
 }

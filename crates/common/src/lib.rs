@@ -5,7 +5,7 @@
 //! * [`mod@tuple`] — base and joined (composite) tuples with lineage,
 //! * [`event`] — the unified in-band event model ([`Event`], [`BatchedTuple`]),
 //! * [`columnar`] — columnar (SoA) batches, selection bitmaps, payload arenas,
-//! * [`kernels`] — vectorized whole-column kernels (hash, predicate, shard),
+//! * [`kernels`] — vectorized whole-column kernels (hash, predicate),
 //! * [`hash`] — a fast Fx-style hasher and map/set aliases,
 //! * [`metrics`] — cheap execution counters used by every strategy,
 //! * [`rng`] — a deterministic SplitMix64 generator for reproducible runs,
@@ -31,7 +31,7 @@ pub use columnar::{ColumnarBatch, PayloadArena, SelBitmap};
 pub use error::{JiscError, Result};
 pub use event::{BatchFull, BatchedTuple, Event};
 pub use fault::WorkerFault;
-pub use hash::{hash_key, shard_of, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{hash_key, FxHashMap, FxHashSet, FxHasher};
 pub use lineage::Lineage;
 pub use metrics::Metrics;
 pub use partition::{KeyRange, PartitionMap, RangeMove};

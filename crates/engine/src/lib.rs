@@ -28,7 +28,6 @@
 //! assert_eq!(pipe.output.count(), 1); // r ⋈ s ⋈ t
 //! ```
 
-pub mod baseline;
 pub mod columnar;
 pub mod explain;
 pub mod lateness;
@@ -43,7 +42,6 @@ pub mod spec;
 pub mod spill;
 pub mod state;
 
-pub use baseline::BaselineStore;
 pub use columnar::{KernelCounter, KernelStats};
 pub use explain::{explain, explain_plan};
 pub use lateness::{LateStats, LatenessGate, LatenessPolicy};

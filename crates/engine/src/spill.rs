@@ -23,11 +23,12 @@
 //! fault-back fills in keys the *disk* owes the window.
 //!
 //! Segment files use no external dependencies: a magic header, then one
-//! (durable checkpoints) or many (cold tier) length-prefixed frames of
-//! per-column delta + varint encoded tuple data (bases deduplicated and
+//! (durable checkpoints) or many (cold tier) length-prefixed frames, each
+//! followed by the FNV-1a hash of its payload — so a partially filled
+//! active segment reads back exactly like a sealed one. Cold-tier payloads
+//! are per-column delta + varint encoded tuple data (bases deduplicated and
 //! stored columnar; joined trees as preorder structure streams over base
-//! indices), each frame followed by its own FNV-1a hash — so a partially
-//! filled active segment reads back exactly like a sealed one.
+//! indices); a checkpoint's single payload is its encoded snapshot.
 //! A hash-chained manifest (each record chains the FNV of its predecessor,
 //! JACS-style signed-header chaining) makes on-disk state tamper-evident;
 //! [`DurableCheckpointStore`] folds the PR-3 [`BaseStateSnapshot`]
@@ -57,14 +58,11 @@ use jisc_telemetry::{AtomicHistogram, HistogramSnapshot};
 
 use crate::snapshot::BaseStateSnapshot;
 
-/// Single-frame segment file magic (durable checkpoints; versioned).
-const MAGIC: &[u8; 6] = b"JSPL1\n";
-/// Multi-frame segment file magic (scratch cold tier): after the magic,
-/// any number of `[uvarint len][frame payload][8-byte LE FNV of payload]`
-/// records. Each frame is self-delimited and self-verified, so a
+/// Segment file magic: after it, any number of frames written by
+/// [`put_frame`]. Each frame is self-delimited and self-verified, so a
 /// partially filled (still-active) segment reads back with the same code
-/// path as a sealed one.
-const MAGIC2: &[u8; 6] = b"JSPL2\n";
+/// path as a sealed one. Durable checkpoints are one-frame segments.
+const MAGIC: &[u8; 6] = b"JSPL2\n";
 
 /// Tuning and placement of one store's cold tier.
 #[derive(Debug, Clone)]
@@ -343,89 +341,51 @@ fn decode_tree(buf: &[u8], pos: &mut usize, bases: &[Tuple]) -> Result<Tuple> {
     }
 }
 
-/// Write one segment file: magic, length-prefixed frame, FNV trailer.
-/// Write one framed, FNV-footed segment file. `sync` forces the bytes to
-/// stable storage before returning: required for durable checkpoints
-/// (their contract is surviving a process crash), skipped for scratch-tier
-/// spill segments — those cache live in-process state, so read-back only
-/// needs the page cache, and an fsync per sealed segment would dominate
-/// eviction-heavy ingest.
-fn write_segment_file(path: &Path, payload: &[u8], sync: bool) -> Result<u64> {
-    let mut bytes = Vec::with_capacity(MAGIC.len() + payload.len() + 18);
-    bytes.extend_from_slice(MAGIC);
-    put_uv(&mut bytes, payload.len() as u64);
-    bytes.extend_from_slice(payload);
-    let h = fnv1a(&bytes);
-    bytes.extend_from_slice(&h.to_le_bytes());
-    let mut f = fs::File::create(path).map_err(|e| io_err("create segment", path, &e))?;
-    f.write_all(&bytes)
-        .and_then(|()| if sync { f.sync_all() } else { Ok(()) })
-        .map_err(|e| io_err("write segment", path, &e))?;
-    Ok(bytes.len() as u64)
+/// Append one frame to `buf`: `[uvarint len][payload][8-byte LE FNV of
+/// payload]`.
+fn put_frame(buf: &mut Vec<u8>, payload: &[u8]) {
+    put_uv(buf, payload.len() as u64);
+    buf.extend_from_slice(payload);
+    buf.extend_from_slice(&fnv1a(payload).to_le_bytes());
+}
+
+/// Split a segment file's bytes into its frame payloads, verifying the
+/// magic and every frame's FNV. A length prefix sits outside the checksum
+/// it introduces, so it is bounds-checked before any arithmetic on it.
+fn segment_frames<'a>(path: &Path, bytes: &'a [u8]) -> Result<Vec<&'a [u8]>> {
+    let corrupt = |what: &str| JiscError::Internal(format!("segment {}: {what}", path.display()));
+    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
+        return Err(corrupt("bad magic or truncated"));
+    }
+    let mut pos = MAGIC.len();
+    let mut frames = Vec::new();
+    while pos < bytes.len() {
+        let len = get_uv(bytes, &mut pos)?;
+        match bytes.len().checked_sub(pos + 8) {
+            Some(room) if len <= room as u64 => {}
+            _ => return Err(corrupt("truncated frame")),
+        }
+        let (payload, rest) = bytes[pos..].split_at(len as usize);
+        let want = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
+        if fnv1a(payload) != want {
+            return Err(corrupt("frame checksum mismatch"));
+        }
+        frames.push(payload);
+        pos += payload.len() + 8;
+    }
+    Ok(frames)
 }
 
 /// Read a multi-frame cold-tier segment (sealed *or* still active),
-/// verifying each frame's FNV and concatenating the decoded entries in
-/// frame order — stub `idx` values are segment-global across frames.
+/// concatenating the decoded entries in frame order — stub `idx` values
+/// are segment-global across frames.
 fn read_segment_frames(path: &Path) -> Result<Vec<(Key, Tuple)>> {
     let bytes = fs::read(path).map_err(|e| io_err("read segment", path, &e))?;
-    if bytes.len() < MAGIC2.len() || &bytes[..MAGIC2.len()] != MAGIC2 {
-        return Err(JiscError::Internal(format!(
-            "segment {}: bad magic or truncated",
-            path.display()
-        )));
-    }
-    let mut pos = MAGIC2.len();
     let mut out = Vec::new();
-    while pos < bytes.len() {
-        let len = get_uv(&bytes, &mut pos)? as usize;
-        if pos + len + 8 > bytes.len() {
-            return Err(JiscError::Internal(format!(
-                "segment {}: truncated frame",
-                path.display()
-            )));
-        }
-        let payload = &bytes[pos..pos + len];
-        let want = u64::from_le_bytes(bytes[pos + len..pos + len + 8].try_into().expect("8 bytes"));
-        if fnv1a(payload) != want {
-            return Err(JiscError::Internal(format!(
-                "segment {}: frame checksum mismatch",
-                path.display()
-            )));
-        }
+    for payload in segment_frames(path, &bytes)? {
         out.extend(decode_entries(payload)?);
-        pos += len + 8;
     }
     Ok(out)
-}
-
-/// Read and verify one segment file, returning the frame payload.
-fn read_segment_file(path: &Path) -> Result<Vec<u8>> {
-    let bytes = fs::read(path).map_err(|e| io_err("read segment", path, &e))?;
-    if bytes.len() < MAGIC.len() + 9 || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(JiscError::Internal(format!(
-            "segment {}: bad magic or truncated",
-            path.display()
-        )));
-    }
-    let body_end = bytes.len() - 8;
-    let want = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-    if fnv1a(&bytes[..body_end]) != want {
-        return Err(JiscError::Internal(format!(
-            "segment {}: FNV trailer mismatch (corrupt)",
-            path.display()
-        )));
-    }
-    let mut pos = MAGIC.len();
-    let len = get_uv(&bytes[..body_end], &mut pos)? as usize;
-    if pos + len != body_end {
-        return Err(JiscError::Internal(format!(
-            "segment {}: frame length {} disagrees with file size",
-            path.display(),
-            len
-        )));
-    }
-    Ok(bytes[pos..body_end].to_vec())
 }
 
 fn io_err(what: &str, path: &Path, e: &std::io::Error) -> JiscError {
@@ -774,7 +734,7 @@ impl ColdTier {
             let path = self.cfg.dir.join(&name);
             let mut file =
                 fs::File::create(&path).map_err(|e| io_err("create segment", &path, &e))?;
-            file.write_all(MAGIC2)
+            file.write_all(MAGIC)
                 .map_err(|e| io_err("write segment", &path, &e))?;
             let seg = self.next_seg;
             self.next_seg += 1;
@@ -784,11 +744,11 @@ impl ColdTier {
                     file: Arc::new(SegmentFile { path }),
                     entries: 0,
                     dead: 0,
-                    bytes: MAGIC2.len() as u64,
+                    bytes: MAGIC.len() as u64,
                     keys: Vec::new(),
                 },
             );
-            self.disk_bytes += MAGIC2.len() as u64;
+            self.disk_bytes += MAGIC.len() as u64;
             self.active = Some(ActiveSeg {
                 seg,
                 name,
@@ -799,9 +759,7 @@ impl ColdTier {
         let active = self.active.as_mut().expect("opened above");
         let seg = active.seg;
         let mut frame = Vec::with_capacity(payload.len() + 18);
-        put_uv(&mut frame, payload.len() as u64);
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        put_frame(&mut frame, &payload);
         active
             .file
             .write_all(&frame)
@@ -1049,9 +1007,9 @@ impl ColdTier {
 /// so checkpoints survive process restarts.
 ///
 /// Layout under `dir`:
-/// * `ckpt-<id>.jspl` — one snapshot per file (magic + frame + FNV trailer)
+/// * `ckpt-<id>.jspl` — one snapshot per file, as a one-frame segment
 /// * `MANIFEST` — one record per persisted checkpoint, each carrying the
-///   FNV of its file payload and a chain hash over all prior records
+///   FNV of its frame payload and a chain hash over all prior records
 ///   (JACS-style signed-header chaining). Recovery re-derives the chain
 ///   and every file hash; a single flipped byte anywhere is rejected.
 #[derive(Debug)]
@@ -1143,7 +1101,14 @@ impl DurableCheckpointStore {
         let payload = encode_snapshot(snap);
         let id = self.next_id;
         let path = Self::ckpt_path(&self.dir, id);
-        let bytes = write_segment_file(&path, &payload, true)?;
+        let mut file = MAGIC.to_vec();
+        put_frame(&mut file, &payload);
+        // Synced before the manifest names it: a checkpoint's contract is
+        // surviving a process crash.
+        fs::File::create(&path)
+            .and_then(|mut f| f.write_all(&file).and_then(|()| f.sync_all()))
+            .map_err(|e| io_err("write checkpoint", &path, &e))?;
+        let bytes = file.len() as u64;
         let file_fnv = fnv1a(&payload);
         let record = format!("ckpt {id} {seq_tag} {bytes} {file_fnv:016x}");
         self.chain = fnv1a_chain(self.chain, record.as_bytes());
@@ -1171,14 +1136,20 @@ impl DurableCheckpointStore {
             return Ok(None);
         };
         let path = Self::ckpt_path(dir, last.id);
-        let payload = read_segment_file(&path)?;
-        if fnv1a(&payload) != last.file_fnv {
+        let bytes = fs::read(&path).map_err(|e| io_err("read checkpoint", &path, &e))?;
+        let [payload] = segment_frames(&path, &bytes)?[..] else {
+            return Err(JiscError::Internal(format!(
+                "checkpoint {}: expected exactly one frame",
+                path.display()
+            )));
+        };
+        if fnv1a(payload) != last.file_fnv {
             return Err(JiscError::Internal(format!(
                 "checkpoint {}: payload hash disagrees with manifest",
                 path.display()
             )));
         }
-        let snap = decode_snapshot(&payload)?;
+        let snap = decode_snapshot(payload)?;
         Ok(Some((last.seq_tag, snap)))
     }
 
@@ -1527,5 +1498,45 @@ mod tests {
         fs::write(&mpath, &mbytes).unwrap();
         assert!(DurableCheckpointStore::open(dir.path()).is_err());
         assert!(DurableCheckpointStore::recover_latest(dir.path()).is_err());
+    }
+
+    #[test]
+    fn corrupt_frame_length_is_an_error_not_a_panic() {
+        let dir = ScratchDir::new("frame-len");
+        let mut max_len = Vec::new();
+        put_uv(&mut max_len, u64::MAX);
+        assert_eq!(max_len.len(), 10);
+
+        // A cold segment whose only frame claims u64::MAX payload bytes.
+        let seg = dir.path().join("seg.jspl");
+        let mut bytes = b"JSPL2\n".to_vec();
+        bytes.extend_from_slice(&max_len);
+        bytes.extend_from_slice(&[0; 16]);
+        fs::write(&seg, &bytes).unwrap();
+        assert!(read_segment_frames(&seg).is_err());
+
+        // The same length spliced into a durable checkpoint, where no
+        // checksum covers the length prefix.
+        let snap = BaseStateSnapshot {
+            rings: vec![vec![(1, Arc::new(BaseTuple::new(StreamId(0), 1, 5, 0)))]],
+            fresh: vec![[(5u64, 1u64)].into_iter().collect()],
+            next_seq: 2,
+            last_ts: 1,
+            last_transition_seq: 0,
+        };
+        let ckpt_dir = dir.path().join("ckpt");
+        DurableCheckpointStore::open(&ckpt_dir)
+            .unwrap()
+            .persist(&snap, 2)
+            .unwrap();
+        let ckpt = DurableCheckpointStore::ckpt_path(&ckpt_dir, 0);
+        let good = fs::read(&ckpt).unwrap();
+        let mut pos = MAGIC.len();
+        get_uv(&good, &mut pos).unwrap();
+        let mut bad = MAGIC.to_vec();
+        bad.extend_from_slice(&max_len);
+        bad.extend_from_slice(&good[pos..]);
+        fs::write(&ckpt, &bad).unwrap();
+        assert!(DurableCheckpointStore::recover_latest(&ckpt_dir).is_err());
     }
 }

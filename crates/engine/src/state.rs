@@ -34,9 +34,7 @@ pub enum StoreKind {
 ///
 /// The hash layout is the cache-conscious [`SlabStore`]: an open-addressing
 /// index over a contiguous slab arena with intrusive per-key chains and an
-/// insertion-order ring (see [`crate::slab`]). The previous
-/// `FxHashMap<Key, Vec<Tuple>>` layout survives as
-/// [`crate::baseline::BaselineStore`] for benchmarking and equivalence tests.
+/// insertion-order ring (see [`crate::slab`]).
 #[derive(Debug, Clone)]
 enum Store {
     Hash(SlabStore),

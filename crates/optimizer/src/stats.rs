@@ -65,16 +65,6 @@ pub struct SelectivityEstimator {
     streams: Vec<StreamStats>,
 }
 
-/// Batch cut size suggested before any arrivals have been observed.
-pub const DEFAULT_SUGGESTED_BATCH: usize = 256;
-/// Smallest batch cut [`SelectivityEstimator::suggest_batch_size`] returns.
-pub const MIN_SUGGESTED_BATCH: usize = 16;
-/// Largest batch cut [`SelectivityEstimator::suggest_batch_size`] returns.
-pub const MAX_SUGGESTED_BATCH: usize = 1024;
-/// Intra-batch pairing budget behind the suggestion: expected same-batch
-/// candidate pairs per flush, `B² · hit_rate`, is held near this constant.
-const PAIR_WORK_BUDGET: f64 = 4096.0;
-
 impl SelectivityEstimator {
     /// Estimator over `n` streams with EWMA smoothing `alpha`.
     pub fn new(n: usize, alpha: f64) -> Self {
@@ -96,51 +86,6 @@ impl SelectivityEstimator {
         s.arrivals += 1;
         s.results += results;
         s.hit_rate.observe(if results > 0 { 1.0 } else { 0.0 });
-    }
-
-    /// Record a whole batch of arrivals on `stream` that together produced
-    /// `results` output tuples. Coarser than per-arrival [`Self::observe`]:
-    /// the hit rate absorbs one observation at the batch's hit *fraction*
-    /// (`results / arrivals`, capped at 1) rather than `arrivals` Bernoulli
-    /// samples — cheap enough to sit on a driver's hot ingest path.
-    pub fn observe_batch(&mut self, stream: StreamId, arrivals: u64, results: u64) {
-        if arrivals == 0 {
-            return;
-        }
-        let s = &mut self.streams[stream.0 as usize];
-        s.arrivals += arrivals;
-        s.results += results;
-        s.hit_rate
-            .observe((results.min(arrivals) as f64) / (arrivals as f64));
-    }
-
-    /// Batch cut size the current selectivity estimates call for.
-    ///
-    /// Batched flushes pay an intra-batch pairing cost that grows with the
-    /// *square* of the cut size times the match rate (the `δl·δr` term of
-    /// the two-phase flush identity), while per-batch overheads amortize
-    /// linearly. Holding the quadratic term near a fixed budget gives
-    /// `B = sqrt(budget / hit_rate)`: selective workloads get large batches
-    /// (B→1024), match-heavy ones get small batches (B→16). The result is
-    /// rounded down to a power of two so cuts align with buffer capacities,
-    /// and clamped to `[MIN_SUGGESTED_BATCH, MAX_SUGGESTED_BATCH]`. Until
-    /// any stream has data this returns [`DEFAULT_SUGGESTED_BATCH`].
-    pub fn suggest_batch_size(&self) -> usize {
-        let primed: Vec<f64> = self
-            .streams
-            .iter()
-            .filter(|s| s.hit_rate.is_primed())
-            .map(|s| s.hit_rate.value())
-            .collect();
-        if primed.is_empty() {
-            return DEFAULT_SUGGESTED_BATCH;
-        }
-        let mean = primed.iter().sum::<f64>() / primed.len() as f64;
-        let floor = PAIR_WORK_BUDGET / (MAX_SUGGESTED_BATCH as f64).powi(2);
-        let raw = (PAIR_WORK_BUDGET / mean.max(floor)).sqrt();
-        let b = (raw as usize).clamp(MIN_SUGGESTED_BATCH, MAX_SUGGESTED_BATCH);
-        // Round down to a power of two (b >= 16, so ilog2 is safe).
-        1usize << b.ilog2()
     }
 
     /// Estimated hit rate of a stream (0.0 with no data).
@@ -225,41 +170,6 @@ mod tests {
         assert!(est.proposed_order().is_none());
         est.observe(StreamId(1), 0);
         assert!(est.proposed_order().is_some());
-    }
-
-    #[test]
-    fn batch_size_defaults_until_primed() {
-        let est = SelectivityEstimator::new(2, 0.3);
-        assert_eq!(est.suggest_batch_size(), DEFAULT_SUGGESTED_BATCH);
-    }
-
-    #[test]
-    fn batch_size_shrinks_as_hit_rate_rises() {
-        let mut hot = SelectivityEstimator::new(1, 0.3);
-        let mut cold = SelectivityEstimator::new(1, 0.3);
-        for _ in 0..50 {
-            hot.observe(StreamId(0), 1); // every arrival matches
-            cold.observe_batch(StreamId(0), 64, 0); // none do
-        }
-        let hot_b = hot.suggest_batch_size();
-        let cold_b = cold.suggest_batch_size();
-        assert!(hot_b < cold_b, "hot={hot_b} cold={cold_b}");
-        assert_eq!(hot_b, 64, "hit_rate 1.0 -> sqrt(4096)");
-        assert_eq!(cold_b, MAX_SUGGESTED_BATCH);
-        for b in [hot_b, cold_b] {
-            assert!(b.is_power_of_two());
-            assert!((MIN_SUGGESTED_BATCH..=MAX_SUGGESTED_BATCH).contains(&b));
-        }
-    }
-
-    #[test]
-    fn observe_batch_tracks_aggregate_counters() {
-        let mut est = SelectivityEstimator::new(2, 0.5);
-        est.observe_batch(StreamId(0), 10, 5);
-        est.observe_batch(StreamId(0), 0, 0); // no-op
-        assert_eq!(est.arrivals(StreamId(0)), 10);
-        assert!((est.hit_rate(StreamId(0)) - 0.5).abs() < 1e-9);
-        assert!(est.proposed_order().is_none(), "stream 1 still unprimed");
     }
 
     #[test]

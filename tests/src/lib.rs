@@ -2,6 +2,8 @@
 //!
 //! The centerpiece is [`oracle::NaiveOracle`], a brute-force n-way windowed
 //! join evaluator used as ground truth against every engine in the
-//! workspace.
+//! workspace. [`baseline::BaselineStore`] is the pre-slab hash-state
+//! layout the slab-equivalence properties compare against.
 
+pub mod baseline;
 pub mod oracle;

@@ -1,6 +1,7 @@
 //! Slab-state equivalence properties: the cache-conscious slab layout must
 //! be observationally identical to the old `FxHashMap<Key, Vec<Tuple>>`
-//! layout (kept as [`jisc_engine::BaselineStore`]) at every level:
+//! layout (kept as [`jisc_integration_tests::baseline::BaselineStore`]) at
+//! every level:
 //!
 //! 1. **Op level** — identical random insert/expire/drop sequences leave
 //!    both stores with the same length, key set, and per-key match
@@ -23,9 +24,10 @@
 use jisc_common::{BaseTuple, ColumnarBatch, Metrics, StreamId, Tuple};
 use jisc_core::AdaptiveEngine;
 use jisc_engine::{
-    BaselineStore, Catalog, DurableCheckpointStore, JoinStyle, Pipeline, PlanSpec, ScratchDir,
-    SlabStore, SpillConfig,
+    Catalog, DurableCheckpointStore, JoinStyle, Pipeline, PlanSpec, ScratchDir, SlabStore,
+    SpillConfig,
 };
+use jisc_integration_tests::baseline::BaselineStore;
 use proptest::prelude::*;
 
 type Strategy_ = jisc_core::Strategy;
