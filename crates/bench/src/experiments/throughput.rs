@@ -25,7 +25,7 @@ use std::time::Instant;
 use jisc_common::{ColumnarBatch, StreamId};
 use jisc_core::jisc::JiscSemantics;
 use jisc_engine::{Catalog, Pipeline, StreamDef};
-use jisc_runtime::shard::{ShardSemantics, ShardedExecutor};
+use jisc_runtime::shard::{ShardStrategy, ShardedConfig, ShardedExecutor};
 use jisc_workload::{best_case, Arrival};
 
 use crate::harness::{arrivals_for, Scale};
@@ -144,14 +144,15 @@ pub fn throughput(scale: Scale) -> Table {
             format!("sharded N={n}"),
             Group::Sharded(n),
             Box::new(move || {
-                let mut exec = ShardedExecutor::spawn(
-                    catalog.clone(),
-                    &scenario.initial,
-                    ShardSemantics::Jisc,
-                    n,
-                    4096,
-                )
-                .expect("sharded executor");
+                let config = ShardedConfig {
+                    strategy: ShardStrategy::Jisc,
+                    shards: n,
+                    queue_capacity: 4096,
+                    ..ShardedConfig::default()
+                };
+                let mut exec =
+                    ShardedExecutor::spawn_with(catalog.clone(), &scenario.initial, config)
+                        .expect("sharded executor");
                 assert!(exec.is_exact(), "time windows shard exactly");
                 for a in arrivals {
                     exec.push(StreamId(a.stream), a.key, a.payload)

@@ -1,7 +1,7 @@
 //! The public facade: one engine, pluggable migration strategy.
 
-use jisc_common::{ColumnarBatch, Event, Key, Metrics, Result, StreamId};
-use jisc_engine::{BaseStateSnapshot, Catalog, OutputSink, PlanSpec};
+use jisc_common::{ColumnarBatch, Event, JiscError, Key, Metrics, Result, StreamId};
+use jisc_engine::{BaseStateSnapshot, Catalog, OutputSink, Pipeline, PlanSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::jisc::JiscExec;
@@ -191,6 +191,43 @@ impl AdaptiveEngine {
         }
     }
 
+    /// The running plan's pipeline (state, kernel counters, spill tier);
+    /// `None` while a Parallel Track migration still runs two tracks.
+    pub fn pipeline(&self) -> Option<&Pipeline> {
+        match &self.inner {
+            Inner::Jisc(e) => Some(e.pipeline()),
+            Inner::Ms(e) => Some(e.pipeline()),
+            Inner::Pt(e) => e.sole_pipeline(),
+        }
+    }
+
+    /// Mutable [`Self::pipeline`]. Refuses `op` while a Parallel Track
+    /// migration runs two tracks: they hold overlapping state for the same
+    /// keys, so no single pipeline stands for the engine until the old track
+    /// retires.
+    fn pipeline_mut(&mut self, op: &str) -> Result<&mut Pipeline> {
+        match &mut self.inner {
+            Inner::Jisc(e) => Ok(e.pipeline_mut()),
+            Inner::Ms(e) => Ok(e.pipeline_mut()),
+            Inner::Pt(e) => e.sole_pipeline_mut().ok_or_else(|| {
+                JiscError::InvalidConfig(format!(
+                    "cannot {op} while a Parallel Track migration runs two plans; \
+                     retry after the old track retires"
+                ))
+            }),
+        }
+    }
+
+    /// How restored or installed derived state comes back: just-in-time
+    /// completion under [`Strategy::Jisc`], eager Moving State rebuild under
+    /// the strategies whose semantics have no completion machinery.
+    fn recovery_mode(&self) -> RecoveryMode {
+        match self.strategy {
+            Strategy::Jisc => RecoveryMode::JustInTime,
+            _ => RecoveryMode::Eager,
+        }
+    }
+
     // ----- crash recovery -----
 
     /// Capture a lightweight base-state checkpoint: window rings, freshness
@@ -199,11 +236,7 @@ impl AdaptiveEngine {
     /// snapshotted right now: mid-event, an aggregate plan, or a Parallel
     /// Track migration still running retiring plans.
     pub fn base_snapshot(&self) -> Option<BaseStateSnapshot> {
-        match &self.inner {
-            Inner::Jisc(e) => e.pipeline().snapshot_base_state(),
-            Inner::Ms(e) => e.pipeline().snapshot_base_state(),
-            Inner::Pt(e) => e.sole_pipeline().and_then(|p| p.snapshot_base_state()),
-        }
+        self.pipeline().and_then(Pipeline::snapshot_base_state)
     }
 
     /// Rebuild an engine after a crash. `spec` must be the plan that was
@@ -220,17 +253,9 @@ impl AdaptiveEngine {
         snap: Option<&BaseStateSnapshot>,
     ) -> Result<Self> {
         let mut engine = AdaptiveEngine::new(catalog, spec, strategy)?;
-        let Some(snap) = snap else {
-            return Ok(engine);
-        };
-        match &mut engine.inner {
-            Inner::Jisc(e) => restore_pipeline(e.pipeline_mut(), snap, RecoveryMode::JustInTime)?,
-            Inner::Ms(e) => restore_pipeline(e.pipeline_mut(), snap, RecoveryMode::Eager)?,
-            Inner::Pt(e) => restore_pipeline(
-                e.sole_pipeline_mut().expect("fresh engine runs one track"),
-                snap,
-                RecoveryMode::Eager,
-            )?,
+        if let Some(snap) = snap {
+            let mode = engine.recovery_mode();
+            restore_pipeline(engine.pipeline_mut("restore a checkpoint")?, snap, mode)?;
         }
         Ok(engine)
     }
@@ -246,20 +271,7 @@ impl AdaptiveEngine {
         &mut self,
         ranges: &[jisc_common::KeyRange],
     ) -> Result<jisc_engine::BaseRangeExport> {
-        match &mut self.inner {
-            Inner::Jisc(e) => crate::rescale::extract_range(e.pipeline_mut(), ranges),
-            Inner::Ms(e) => crate::rescale::extract_range(e.pipeline_mut(), ranges),
-            Inner::Pt(e) => {
-                let p = e.sole_pipeline_mut().ok_or_else(|| {
-                    jisc_common::JiscError::InvalidConfig(
-                        "cannot extract a key range while a Parallel Track migration runs two \
-                         plans; retry after the old track retires"
-                            .into(),
-                    )
-                })?;
-                crate::rescale::extract_range(p, ranges)
-            }
-        }
+        crate::rescale::extract_range(self.pipeline_mut("extract a key range")?, ranges)
     }
 
     /// Install an extracted range (elastic handover, target side): the base
@@ -268,24 +280,8 @@ impl AdaptiveEngine {
     /// ingest continues — or are materialized eagerly under the strategies
     /// whose runtime semantics have no completion machinery.
     pub fn install_range(&mut self, export: &jisc_engine::BaseRangeExport) -> Result<()> {
-        match &mut self.inner {
-            Inner::Jisc(e) => {
-                crate::rescale::install_range(e.pipeline_mut(), export, RecoveryMode::JustInTime)
-            }
-            Inner::Ms(e) => {
-                crate::rescale::install_range(e.pipeline_mut(), export, RecoveryMode::Eager)
-            }
-            Inner::Pt(e) => {
-                let p = e.sole_pipeline_mut().ok_or_else(|| {
-                    jisc_common::JiscError::InvalidConfig(
-                        "cannot install a key range while a Parallel Track migration runs two \
-                         plans; retry after the old track retires"
-                            .into(),
-                    )
-                })?;
-                crate::rescale::install_range(p, export, RecoveryMode::Eager)
-            }
-        }
+        let mode = self.recovery_mode();
+        crate::rescale::install_range(self.pipeline_mut("install a key range")?, export, mode)
     }
 
     // ----- memory-budgeted tiered state -----
@@ -297,40 +293,19 @@ impl AdaptiveEngine {
     /// accepts this only while a single track runs (the new track a
     /// migration starts is not tiered; its state is transient).
     pub fn enable_spill(&mut self, cfg: jisc_engine::SpillConfig) -> Result<()> {
-        match &mut self.inner {
-            Inner::Jisc(e) => e.pipeline_mut().enable_spill(cfg),
-            Inner::Ms(e) => e.pipeline_mut().enable_spill(cfg),
-            Inner::Pt(e) => {
-                let p = e.sole_pipeline_mut().ok_or_else(|| {
-                    jisc_common::JiscError::InvalidConfig(
-                        "cannot enable spill while a Parallel Track migration runs two plans; \
-                         retry after the old track retires"
-                            .into(),
-                    )
-                })?;
-                p.enable_spill(cfg)
-            }
-        }
+        self.pipeline_mut("enable spill")?.enable_spill(cfg)
     }
 
     /// Cold-tier occupancy summed over the running plan's states, `None`
     /// while spill is not enabled (or during a two-track Parallel Track
     /// migration, whose transient new track is not tiered).
     pub fn spill_stats(&self) -> Option<jisc_engine::SpillStats> {
-        match &self.inner {
-            Inner::Jisc(e) => e.pipeline().spill_stats(),
-            Inner::Ms(e) => e.pipeline().spill_stats(),
-            Inner::Pt(e) => e.sole_pipeline().and_then(|p| p.spill_stats()),
-        }
+        self.pipeline().and_then(Pipeline::spill_stats)
     }
 
     /// Estimated hot-tier bytes across the running plan's states.
     pub fn hot_bytes(&self) -> usize {
-        match &self.inner {
-            Inner::Jisc(e) => e.pipeline().hot_bytes(),
-            Inner::Ms(e) => e.pipeline().hot_bytes(),
-            Inner::Pt(e) => e.sole_pipeline().map_or(0, |p| p.hot_bytes()),
-        }
+        self.pipeline().map_or(0, Pipeline::hot_bytes)
     }
 
     /// Move the accumulated output out of the engine, leaving it empty —

@@ -10,6 +10,7 @@
 use jisc_common::{ColumnarBatch, Event, FxHashSet, Key, Result, StreamId};
 use jisc_engine::{Catalog, DefaultSemantics, Pipeline, PlanSpec, Signature};
 
+use crate::jisc::apply_event;
 use crate::migrate::{build_state_eagerly, is_binary, verify_reorderable, verify_same_query};
 
 /// Eager-migration executor.
@@ -48,19 +49,12 @@ impl MovingStateExec {
     }
 
     /// Consume one in-band event. A migration barrier performs this
-    /// strategy's eager halt-and-rebuild transition.
+    /// strategy's eager halt-and-rebuild transition; everything else is
+    /// [`apply_event`] under plain semantics.
     pub fn on_event(&mut self, ev: Event<PlanSpec>) -> Result<()> {
         match ev {
-            Event::Columnar(batch) => self.push_columnar(&batch),
-            Event::Expiry(ts) => self.pipe.advance_watermark_with(&mut DefaultSemantics, ts),
-            Event::Watermark(ts) => self.pipe.apply_watermark_with(&mut DefaultSemantics, ts),
             Event::MigrationBarrier(spec) => self.transition_to(&spec),
-            Event::Flush => {
-                self.pipe.run_with(&mut DefaultSemantics);
-                Ok(())
-            }
-            // Partition-epoch punctuation: a routing concern, no-op here.
-            Event::Repartition(_) => Ok(()),
+            ev => apply_event(&mut self.pipe, &mut DefaultSemantics, ev),
         }
     }
 

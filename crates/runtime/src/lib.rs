@@ -36,8 +36,8 @@ pub(crate) mod supervisor;
 
 pub use fault::{FaultAction, FaultPlan};
 pub use shard::{
-    Exactness, OverloadPolicy, PhaseClassifier, ShardSemantics, ShardStrategy, ShardedConfig,
-    ShardedExecutor, ShardedReport, SpillSettings,
+    Exactness, OverloadPolicy, PhaseClassifier, ShardStrategy, ShardedConfig, ShardedExecutor,
+    ShardedReport, SpillSettings,
 };
 
 pub use jisc_common::{BatchedTuple, Event, WorkerFault};

@@ -108,6 +108,7 @@ use jisc_common::{
     SeqNo, StreamId, WorkerFault,
 };
 use jisc_core::migrate::{verify_reorderable, verify_same_query};
+use jisc_core::AdaptiveEngine;
 use jisc_engine::plan::Plan;
 use jisc_engine::{
     BaseRangeExport, Catalog, DurableCheckpointStore, LatenessGate, LatenessPolicy, OpKind,
@@ -120,31 +121,11 @@ use jisc_telemetry::{
 use crate::chan;
 use crate::fault::{payload_string, FaultInjector, FaultPlan};
 use crate::supervisor::{
-    worker_loop, CheckpointData, RangeInstall, ShardEngine, ShardMsg, ShardResult, ToRouter,
-    WorkerCtx, WorkerTelemetry,
+    worker_loop, CheckpointData, RangeInstall, ShardMsg, ShardResult, ToRouter, WorkerCtx,
+    WorkerTelemetry,
 };
 
 pub use crate::supervisor::ShardStrategy;
-
-/// Which operator semantics each shard drains its pipeline with (legacy
-/// two-state surface; [`ShardStrategy`] is the full version).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardSemantics {
-    /// Plain pipelined execution; plan transitions are rejected.
-    Default,
-    /// Just-in-time state completion; transitions broadcast as barriers.
-    #[default]
-    Jisc,
-}
-
-impl From<ShardSemantics> for ShardStrategy {
-    fn from(s: ShardSemantics) -> ShardStrategy {
-        match s {
-            ShardSemantics::Default => ShardStrategy::Pipelined,
-            ShardSemantics::Jisc => ShardStrategy::Jisc,
-        }
-    }
-}
 
 /// Events are shipped in batches to amortize queue synchronization.
 const BATCH: usize = 64;
@@ -573,7 +554,7 @@ impl ReplayEvent {
 ///
 /// ```
 /// use jisc_engine::{Catalog, JoinStyle, PlanSpec};
-/// use jisc_runtime::shard::{ShardSemantics, ShardedExecutor};
+/// use jisc_runtime::shard::{ShardStrategy, ShardedConfig, ShardedExecutor};
 /// use jisc_common::StreamId;
 ///
 /// let catalog = Catalog::new(vec![
@@ -581,8 +562,13 @@ impl ReplayEvent {
 ///     jisc_engine::StreamDef::timed("S", 100),
 /// ]).unwrap();
 /// let plan = PlanSpec::left_deep(&["R", "S"], JoinStyle::Hash);
-/// let mut exec =
-///     ShardedExecutor::spawn(catalog, &plan, ShardSemantics::Jisc, 2, 256).unwrap();
+/// let config = ShardedConfig {
+///     strategy: ShardStrategy::Jisc,
+///     shards: 2,
+///     queue_capacity: 256,
+///     ..ShardedConfig::default()
+/// };
+/// let mut exec = ShardedExecutor::spawn_with(catalog, &plan, config).unwrap();
 /// exec.push(StreamId(0), 7, 0).unwrap();
 /// exec.push(StreamId(1), 7, 0).unwrap();
 /// let report = exec.finish().unwrap();
@@ -591,17 +577,9 @@ impl ReplayEvent {
 /// ```
 #[derive(Debug)]
 pub struct ShardedExecutor {
-    /// Per-shard senders; `None` once the shard's queue has been closed.
-    txs: Vec<Option<chan::Sender<ShardMsg>>>,
-    workers: Vec<Option<JoinHandle<Option<ShardResult>>>>,
-    /// Clean results reaped early (a worker that finished during recovery
-    /// bookkeeping in `finish`).
-    finished: Vec<Option<ShardResult>>,
-    /// Per-shard staging buffers in columnar layout: routed rows land in
-    /// their shard's column batch and ship as [`Event::Columnar`] — the
-    /// worker's vectorized path consumes them without re-materializing
-    /// rows.
-    batches: Vec<ColumnarBatch>,
+    /// Per-shard router state, slot-indexed; retired slots stay (their ids
+    /// are never reused).
+    slots: Vec<Slot>,
     /// Reused output of the shard-routing kernel (`push_columnar`).
     route_scratch: Vec<u32>,
     catalog: Catalog,
@@ -609,10 +587,6 @@ pub struct ShardedExecutor {
     current: Plan,
     /// Spec of the current plan (what a newly spawned elastic shard runs).
     current_spec: PlanSpec,
-    /// Per-shard spawn-time spec: what a checkpoint-less respawn must
-    /// replay from. The original shards start at the initial plan; shards
-    /// added by a rescale start at the plan current when they were spawned.
-    spawn_spec: Vec<PlanSpec>,
     /// The routing table: hashed-key ranges → shard, epoch-stamped.
     pmap: PartitionMap,
     config: ShardedConfig,
@@ -620,23 +594,13 @@ pub struct ShardedExecutor {
     next_seq: SeqNo,
     last_ts: u64,
     events: u64,
-    shard_events: Vec<u64>,
     transitions: u64,
     // --- supervision state ---
     ctrl_tx: chan::Sender<ToRouter>,
     ctrl_rx: chan::Receiver<ToRouter>,
     injector: Arc<FaultInjector>,
-    ckpt: Vec<Option<ShardCheckpoint>>,
-    /// Post-checkpoint event suffix per shard, cloned at send time and
-    /// pruned as checkpoints complete.
-    replay: Vec<VecDeque<ReplayEvent>>,
-    /// Events sent per shard (positional clock shared with the workers).
-    sent: Vec<u64>,
-    /// Tuples routed per shard since the last checkpoint request.
-    since_ckpt: Vec<u64>,
     /// Output drained at completed checkpoints (durable across faults).
     saved: Vec<OutputSink>,
-    recoveries_by_shard: Vec<u64>,
     faults: Vec<WorkerFault>,
     recoveries: u64,
     replayed_events: u64,
@@ -654,13 +618,7 @@ pub struct ShardedExecutor {
     pending_exports: Vec<(usize, u64, usize, Box<BaseRangeExport>)>,
     rescales: u64,
     migrated_tuples: u64,
-    // --- per-shard load accounting (observability + elastic signals) ---
-    peak_queue: Vec<u64>,
-    shed_by_shard: Vec<u64>,
     send_timeouts: u64,
-    /// Cumulative probes per shard as of its last checkpoint (live signal;
-    /// the final report uses each shard's final metrics instead).
-    probes_by_shard: Vec<u64>,
     // --- event-time + latency state ---
     /// Router-side lateness gate (present when [`ShardedConfig::lateness`]
     /// is set): re-sorts bounded disorder before sharding so routed
@@ -673,28 +631,96 @@ pub struct ShardedExecutor {
     stream_frontiers: Vec<u64>,
     /// Last aligned watermark broadcast to the shards.
     watermark: u64,
-    /// Last watermark delivered per shard slot.
-    shard_watermarks: Vec<u64>,
     /// Tuples routed since the last watermark broadcast.
     since_watermark: u64,
     // --- telemetry ---
-    /// Per-shard metric registries, slot-indexed. A respawn installs a
-    /// fresh registry: the dead incarnation's un-checkpointed telemetry
-    /// is discarded exactly like its un-checkpointed output.
-    registries: Vec<Registry>,
     /// Run-wide control-plane flight recorder, shared with every worker;
     /// its origin instant is also the epoch for batch ingest stamps.
     flight: FlightRecorder,
     /// Current phase id from [`ShardedConfig::phase`] (0 without one).
     current_phase: u32,
-    // --- durability ---
-    /// Per-shard durable checkpoint stores (present when
-    /// [`ShardedConfig::durable_dir`] is set).
-    durable: Vec<Option<DurableCheckpointStore>>,
     /// First durable-persistence failure. Surfaced as an error by
     /// [`ShardedExecutor::finish`]: a run that promised durability but
     /// could not write it must not report success.
     durable_error: Option<String>,
+}
+
+/// The router's record of one shard slot: its live incarnation, what a
+/// respawn restarts it from, and its load accounting.
+#[derive(Debug)]
+struct Slot {
+    /// Sender; `None` once the shard's queue has been closed.
+    tx: Option<chan::Sender<ShardMsg>>,
+    worker: Option<JoinHandle<Option<ShardResult>>>,
+    /// Clean result reaped early (a worker that finished during recovery
+    /// bookkeeping in `finish`).
+    finished: Option<ShardResult>,
+    /// Staging buffer in columnar layout: routed rows land here and ship
+    /// as [`Event::Columnar`] — the worker's vectorized path consumes them
+    /// without re-materializing rows.
+    batch: ColumnarBatch,
+    /// Plan a checkpoint-less incarnation starts from: the initial plan for
+    /// the original shards, the plan current at spawn for elastic ones.
+    /// Transitions leave it alone — such an incarnation replays its full
+    /// history, barriers included.
+    spawn_spec: PlanSpec,
+    /// Last completed checkpoint; every incarnation starts from it.
+    ckpt: Option<ShardCheckpoint>,
+    /// Post-checkpoint event suffix, cloned at send time and pruned as
+    /// checkpoints complete.
+    replay: VecDeque<ReplayEvent>,
+    /// Events sent (positional clock shared with the workers).
+    sent: u64,
+    /// Tuples routed since the last checkpoint request.
+    since_ckpt: u64,
+    recoveries: u64,
+    /// Arrivals routed here.
+    events: u64,
+    /// Highest queue depth observed at a send.
+    peak_queue: u64,
+    /// Tuples shed under [`OverloadPolicy::Shed`].
+    shed: u64,
+    /// Cumulative probes as of the last checkpoint (live signal; the final
+    /// report uses the shard's final metrics instead).
+    probes: u64,
+    /// Last watermark delivered.
+    watermark: u64,
+    /// The live incarnation's metric registry. Each incarnation gets a
+    /// fresh one: a dead incarnation's un-checkpointed telemetry is
+    /// discarded exactly like its un-checkpointed output.
+    registry: Registry,
+    /// Durable checkpoint store (when [`ShardedConfig::durable_dir`] is set).
+    durable: Option<DurableCheckpointStore>,
+}
+
+impl Slot {
+    fn new(spawn_spec: PlanSpec) -> Self {
+        Slot {
+            tx: None,
+            worker: None,
+            finished: None,
+            batch: ColumnarBatch::new(BATCH),
+            spawn_spec,
+            ckpt: None,
+            replay: VecDeque::new(),
+            sent: 0,
+            since_ckpt: 0,
+            recoveries: 0,
+            events: 0,
+            peak_queue: 0,
+            shed: 0,
+            probes: 0,
+            watermark: 0,
+            registry: Registry::new(),
+            durable: None,
+        }
+    }
+
+    /// True when no incarnation is running: never started, reaped, or its
+    /// thread has exited (cleanly or after reporting a fault).
+    fn is_down(&self) -> bool {
+        self.worker.as_ref().is_none_or(|h| h.is_finished())
+    }
 }
 
 /// True if hash partitioning by key preserves the plan's semantics: every
@@ -707,27 +733,6 @@ fn key_partitionable(plan: &Plan) -> bool {
 }
 
 impl ShardedExecutor {
-    /// Spawn with the legacy signature: `shards` workers (min 1) running
-    /// `spec` under `semantics`, default supervision settings.
-    pub fn spawn(
-        catalog: Catalog,
-        spec: &PlanSpec,
-        semantics: ShardSemantics,
-        shards: usize,
-        queue_capacity: usize,
-    ) -> Result<Self> {
-        ShardedExecutor::spawn_with(
-            catalog,
-            spec,
-            ShardedConfig {
-                strategy: semantics.into(),
-                shards,
-                queue_capacity,
-                ..ShardedConfig::default()
-            },
-        )
-    }
-
     /// Spawn a supervised sharded runtime.
     ///
     /// Plans with non-equi theta joins are not key-partitionable and fall
@@ -753,7 +758,6 @@ impl ShardedExecutor {
         } else {
             Exactness::ApproximateCountWindows
         };
-        let cap = config.queue_capacity.max(1);
         // The control channel is sized so every worker can deposit a fault,
         // a checkpoint, and a couple of rescale export replies without ever
         // blocking against the router — generously, since elastic scale-ups
@@ -763,83 +767,49 @@ impl ShardedExecutor {
         if !config.faults.is_empty() {
             crate::fault::install_quiet_hook();
         }
-        let flight = FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY);
-        let mut registries = Vec::with_capacity(n);
-        let mut txs = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        let mut durable = Vec::with_capacity(n);
         // Durable recovery: restarting the whole process resumes each
         // shard from its newest hash-chain-verified snapshot, and the
         // router's global clocks resume past the recovered prefix so new
         // arrivals carry seqs/timestamps a single uninterrupted run would
-        // have assigned.
+        // have assigned. The snapshot also seeds the slot's checkpoint, so
+        // a fault before this process's first checkpoint recovers from it
+        // rather than from an empty engine.
         let (mut resume_seq, mut resume_ts) = (0u64, 0u64);
+        let mut slots = Vec::with_capacity(n);
         for i in 0..n {
-            let (tx, rx) = chan::bounded::<ShardMsg>(cap);
-            let recovered = match config.shard_durable(i) {
-                Some(dir) => DurableCheckpointStore::recover_latest(&dir)?.map(|(_, snap)| snap),
-                None => None,
-            };
-            let mut engine = match &recovered {
-                Some(snap) => {
-                    resume_seq = resume_seq.max(snap.next_seq);
-                    resume_ts = resume_ts.max(snap.last_ts);
-                    ShardEngine::restore(&catalog, spec, config.strategy, Some(snap))?
+            let mut slot = Slot::new(spec.clone());
+            if let Some(dir) = config.shard_durable(i) {
+                if let Some((_, snapshot)) = DurableCheckpointStore::recover_latest(&dir)? {
+                    resume_seq = resume_seq.max(snapshot.next_seq);
+                    resume_ts = resume_ts.max(snapshot.last_ts);
+                    slot.ckpt = Some(ShardCheckpoint {
+                        spec: spec.clone(),
+                        snapshot,
+                        covered: 0,
+                        tuples: 0,
+                    });
                 }
-                None => ShardEngine::new(&catalog, spec, config.strategy)?,
-            };
-            if let Some(spill_cfg) = config.shard_spill(i) {
-                engine.enable_spill(spill_cfg)?;
+                slot.durable = Some(DurableCheckpointStore::open(dir)?);
             }
-            durable.push(match config.shard_durable(i) {
-                Some(dir) => Some(DurableCheckpointStore::open(dir)?),
-                None => None,
-            });
-            let registry = Registry::new();
-            let ctx = WorkerCtx {
-                shard: i,
-                start_index: 0,
-                start_tuples: 0,
-                spec: spec.clone(),
-                injector: Arc::clone(&injector),
-                ctrl: ctrl_tx.clone(),
-                telemetry: WorkerTelemetry::new(registry.clone(), flight.clone()),
-            };
-            registries.push(registry);
-            let handle = std::thread::Builder::new()
-                .name(format!("jisc-shard-{i}"))
-                .spawn(move || worker_loop(engine, rx, ctx))
-                .expect("spawn shard thread");
-            txs.push(Some(tx));
-            workers.push(Some(handle));
+            slots.push(slot);
         }
         let catalog_len = catalog.len();
-        Ok(ShardedExecutor {
-            txs,
-            workers,
-            finished: (0..n).map(|_| None).collect(),
-            batches: (0..n).map(|_| ColumnarBatch::new(BATCH)).collect(),
+        let mut exec = ShardedExecutor {
+            slots,
             route_scratch: Vec::new(),
             catalog,
             current,
             current_spec: spec.clone(),
-            spawn_spec: vec![spec.clone(); n],
             pmap: PartitionMap::uniform(n),
             exactness,
             next_seq: resume_seq,
             last_ts: resume_ts,
             events: 0,
-            shard_events: vec![0; n],
             transitions: 0,
             ctrl_tx,
             ctrl_rx,
             injector,
-            ckpt: vec![None; n],
-            replay: (0..n).map(|_| VecDeque::new()).collect(),
-            sent: vec![0; n],
-            since_ckpt: vec![0; n],
             saved: Vec::new(),
-            recoveries_by_shard: vec![0; n],
             faults: Vec::new(),
             recoveries: 0,
             replayed_events: 0,
@@ -851,30 +821,28 @@ impl ShardedExecutor {
             pending_exports: Vec::new(),
             rescales: 0,
             migrated_tuples: 0,
-            peak_queue: vec![0; n],
-            shed_by_shard: vec![0; n],
             send_timeouts: 0,
-            probes_by_shard: vec![0; n],
             gate: config.lateness.map(LatenessGate::new),
             gate_scratch: Vec::new(),
             stream_frontiers: vec![0; catalog_len],
             watermark: 0,
-            shard_watermarks: vec![0; n],
             since_watermark: 0,
-            registries,
-            flight,
+            flight: FlightRecorder::new(FlightRecorder::DEFAULT_CAPACITY),
             current_phase: 0,
-            durable,
             durable_error: None,
             config,
-        })
+        };
+        for s in 0..n {
+            exec.start_worker(s)?;
+        }
+        Ok(exec)
     }
 
     /// Shard slots allocated (1 when the plan forced a serial fallback).
     /// Includes shards retired by a rescale; see
     /// [`ShardedExecutor::live_shards`] for current owners.
     pub fn shards(&self) -> usize {
-        self.txs.len()
+        self.slots.len()
     }
 
     /// Shard ids that currently own key ranges (ascending).
@@ -891,10 +859,11 @@ impl ShardedExecutor {
     /// `(events routed, queue depth now, probes at last checkpoint)`.
     /// Retired slots report their final history.
     pub fn shard_loads(&self) -> Vec<(u64, u64, u64)> {
-        (0..self.txs.len())
-            .map(|s| {
-                let depth = self.txs[s].as_ref().map_or(0, |tx| tx.len() as u64);
-                (self.shard_events[s], depth, self.probes_by_shard[s])
+        self.slots
+            .iter()
+            .map(|slot| {
+                let depth = slot.tx.as_ref().map_or(0, |tx| tx.len() as u64);
+                (slot.events, depth, slot.probes)
             })
             .collect()
     }
@@ -909,17 +878,17 @@ impl ShardedExecutor {
     /// `routed_probes` — the [`ShardedExecutor::shard_loads`] triple), so
     /// an elastic controller can run off the snapshot alone.
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        for (s, &(events, depth, probes)) in self.shard_loads().iter().enumerate() {
-            let r = &self.registries[s];
+        for (slot, (events, depth, probes)) in self.slots.iter().zip(self.shard_loads()) {
+            let r = &slot.registry;
             r.gauge("routed_events").set(events as f64);
             r.gauge("queue_depth").set(depth as f64);
             r.gauge("routed_probes").set(probes as f64);
         }
         TelemetrySnapshot::from_shards(
-            self.registries
+            self.slots
                 .iter()
                 .enumerate()
-                .map(|(s, r)| (s, r.snapshot()))
+                .map(|(s, slot)| (s, slot.registry.snapshot()))
                 .collect(),
             self.flight.events(),
         )
@@ -1010,25 +979,36 @@ impl ShardedExecutor {
                 self.last_ts
             )));
         }
-        self.cut_phase(ts)?;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.last_ts = ts;
-        let s = self.pmap.shard_for_key(key);
-        self.events += 1;
-        self.shard_events[s] += 1;
-        self.stream_frontiers[stream.0 as usize] = self.stream_frontiers[stream.0 as usize].max(ts);
-        self.batches[s]
-            .push_stamped(stream, key, payload, Some(ts), Some(seq))
-            .expect("staging batch is cut on full");
-        if self.batches[s].is_full() {
-            self.flush(s)?;
-        }
+        self.stage(self.pmap.shard_for_key(key), stream, key, payload, ts)?;
         if self.config.watermark_every > 0 {
             self.since_watermark += 1;
             if self.since_watermark >= self.config.watermark_every {
                 self.advance_watermarks()?;
             }
+        }
+        Ok(())
+    }
+
+    /// Stage one routed arrival on shard `s`: cut the batches on a phase
+    /// change, stamp the arrival with the next global sequence number and
+    /// `ts`, advance the counts and the stream's frontier, and flush the
+    /// shard's batch once it is full. The one staging step of both ingest
+    /// paths; each keeps its own validation and watermark cadence.
+    fn stage(&mut self, s: usize, stream: StreamId, key: Key, payload: u64, ts: u64) -> Result<()> {
+        self.cut_phase(ts)?;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.last_ts = ts;
+        self.events += 1;
+        let frontier = &mut self.stream_frontiers[stream.0 as usize];
+        *frontier = (*frontier).max(ts);
+        let slot = &mut self.slots[s];
+        slot.events += 1;
+        slot.batch
+            .push_stamped(stream, key, payload, Some(ts), Some(seq))
+            .expect("staging batch is cut on full");
+        if slot.batch.is_full() {
+            self.flush(s)?;
         }
         Ok(())
     }
@@ -1049,11 +1029,9 @@ impl ShardedExecutor {
             return Ok(());
         }
         self.flush_all()?;
-        for s in 0..self.txs.len() {
-            if self.txs[s].is_some() {
-                self.send_event(s, Event::Watermark(aligned))?;
-                self.shard_watermarks[s] = aligned;
-            }
+        for s in self.open_slots() {
+            self.send_event(s, Event::Watermark(aligned))?;
+            self.slots[s].watermark = aligned;
         }
         self.watermark = aligned;
         self.flight
@@ -1112,31 +1090,12 @@ impl ShardedExecutor {
         let mut route = std::mem::take(&mut self.route_scratch);
         self.pmap.route_column(batch.keys(), &mut route);
         let (keys, streams, payloads) = (batch.keys(), batch.streams(), batch.payloads());
-        for i in 0..batch.len() {
+        let staged = route.iter().enumerate().try_for_each(|(i, &s)| {
             let ts = batch.ts_at(i).unwrap_or(self.last_ts.max(self.next_seq));
-            if let Err(e) = self.cut_phase(ts) {
-                self.route_scratch = route;
-                return Err(e);
-            }
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.last_ts = ts;
-            let s = route[i] as usize;
-            self.events += 1;
-            self.shard_events[s] += 1;
-            let f = &mut self.stream_frontiers[streams[i].0 as usize];
-            *f = (*f).max(ts);
-            self.batches[s]
-                .push_stamped(streams[i], keys[i], payloads[i], Some(ts), Some(seq))
-                .expect("staging batch is cut on full");
-            if self.batches[s].is_full() {
-                if let Err(e) = self.flush(s) {
-                    self.route_scratch = route;
-                    return Err(e);
-                }
-            }
-        }
+            self.stage(s as usize, streams[i], keys[i], payloads[i], ts)
+        });
         self.route_scratch = route;
+        staged?;
         if self.config.watermark_every > 0 {
             self.since_watermark += batch.len() as u64;
             if self.since_watermark >= self.config.watermark_every {
@@ -1158,20 +1117,15 @@ impl ShardedExecutor {
         let new_plan = Plan::compile(&self.catalog, spec)?;
         verify_same_query(&self.current, &new_plan)?;
         verify_reorderable(&new_plan)?;
-        if !key_partitionable(&new_plan) && self.txs.len() > 1 {
+        if !key_partitionable(&new_plan) && self.slots.len() > 1 {
             return Err(JiscError::Internal(
                 "new plan is not key-partitionable; cannot transition a sharded run".into(),
             ));
         }
         self.flush_all()?;
-        for s in 0..self.txs.len() {
-            if self.txs[s].is_some() {
-                self.send_event(s, Event::MigrationBarrier(spec.clone()))?;
-            }
+        for s in self.open_slots() {
+            self.send_event(s, Event::MigrationBarrier(spec.clone()))?;
         }
-        // Note: `spawn_spec` stays at each shard's spawn-time plan — a
-        // shard with no checkpoint yet replays its full history, barriers
-        // included, and must start from the plan its first incarnation did.
         self.current = new_plan;
         self.current_spec = spec.clone();
         self.transitions += 1;
@@ -1237,10 +1191,8 @@ impl ShardedExecutor {
         }
         // Epoch punctuation: every live shard observes the new map at the
         // same positional boundary of its queue.
-        for s in 0..self.txs.len() {
-            if self.txs[s].is_some() {
-                self.send_event(s, Event::Repartition(new_map.clone()))?;
-            }
+        for s in self.open_slots() {
+            self.send_event(s, Event::Repartition(new_map.clone()))?;
         }
         self.flight.record(FlightEventKind::RepartitionCut {
             epoch: new_map.epoch(),
@@ -1300,7 +1252,7 @@ impl ShardedExecutor {
                     // faulted incarnation, and reaping its healthy
                     // successor would spin forever waiting for a live
                     // thread to finish.
-                    if self.workers[shard].as_ref().is_none_or(|h| h.is_finished()) {
+                    if self.slots[shard].is_down() {
                         self.reap(shard);
                         self.respawn(shard)?;
                     }
@@ -1315,10 +1267,8 @@ impl ShardedExecutor {
                     // pre-loop death — e.g. a panic landing on the very
                     // batch the rescale's flush pushed — parks the
                     // export handshake forever.
-                    for s in 0..self.workers.len() {
-                        let dead = self.txs[s].is_some()
-                            && self.workers[s].as_ref().is_none_or(|h| h.is_finished());
-                        if dead {
+                    for s in self.open_slots() {
+                        if self.slots[s].is_down() {
                             self.reap(s);
                             self.respawn(s)?;
                         }
@@ -1328,8 +1278,8 @@ impl ShardedExecutor {
         }
         // Shards owning nothing under the new map are done: close their
         // queues and collect their output. Their ids are never reused.
-        for s in 0..self.txs.len() {
-            if self.txs[s].is_some() && new_map.ranges_of(s).is_empty() {
+        for s in self.open_slots() {
+            if new_map.ranges_of(s).is_empty() {
                 self.retire(s);
             }
         }
@@ -1355,7 +1305,7 @@ impl ShardedExecutor {
             .pmap
             .live_shards()
             .into_iter()
-            .max_by_key(|&s| self.shard_events[s])
+            .max_by_key(|&s| self.slots[s].events)
             .ok_or_else(|| JiscError::Internal("no live shards".into()))?;
         let (map, target) = self.pmap.split_shard(busiest, None)?;
         self.apply_map(map)?;
@@ -1397,72 +1347,86 @@ impl ShardedExecutor {
         self.send_replayable(to, ReplayEvent::InstallRange(install))
     }
 
-    /// Grow the per-shard tables to include slot `s` and spawn a fresh
-    /// worker there (running the current plan with empty state) if the
-    /// slot has never been used. Errors if `s` names a retired shard —
-    /// ids are not reused, so a stale map cannot resurrect dead state.
+    /// Grow the slot table to include slot `s` and start a fresh worker
+    /// there (running the current plan with empty state) if the slot has
+    /// never been used. Errors if `s` names a retired shard — ids are not
+    /// reused, so a stale map cannot resurrect dead state.
     fn ensure_shard_slot(&mut self, s: usize) -> Result<()> {
-        while self.txs.len() <= s {
-            self.txs.push(None);
-            self.workers.push(None);
-            self.finished.push(None);
-            self.batches.push(ColumnarBatch::new(BATCH));
-            self.shard_events.push(0);
-            self.ckpt.push(None);
-            self.replay.push(VecDeque::new());
-            self.sent.push(0);
-            self.since_ckpt.push(0);
-            self.recoveries_by_shard.push(0);
-            self.peak_queue.push(0);
-            self.shed_by_shard.push(0);
-            self.probes_by_shard.push(0);
-            self.shard_watermarks.push(0);
-            self.spawn_spec.push(self.current_spec.clone());
-            self.registries.push(Registry::new());
-            self.durable.push(None);
+        while self.slots.len() <= s {
+            self.slots.push(Slot::new(self.current_spec.clone()));
         }
-        if self.txs[s].is_some() || self.workers[s].is_some() {
+        let slot = &mut self.slots[s];
+        if slot.tx.is_some() || slot.worker.is_some() {
             return Ok(()); // already live
         }
-        if self.finished[s].is_some() || self.sent[s] > 0 {
+        if slot.finished.is_some() || slot.sent > 0 {
             return Err(JiscError::InvalidConfig(format!(
                 "shard {s} was retired; shard ids are not reused"
             )));
         }
-        self.spawn_spec[s] = self.current_spec.clone();
-        let mut engine = ShardEngine::new(&self.catalog, &self.current_spec, self.config.strategy)?;
+        slot.spawn_spec = self.current_spec.clone();
+        if slot.durable.is_none() {
+            if let Some(dir) = self.config.shard_durable(s) {
+                slot.durable = Some(DurableCheckpointStore::open(dir)?);
+            }
+        }
+        self.start_worker(s)
+    }
+
+    /// Start a worker incarnation on slot `s`: restore the engine from the
+    /// slot's last checkpoint (fresh at its spawn plan without one), attach
+    /// the spill tier, install a fresh registry and spawn the thread. The
+    /// first spawn, an elastic target and every recovery all start here.
+    fn start_worker(&mut self, s: usize) -> Result<()> {
+        let slot = &mut self.slots[s];
+        let (spec, snapshot, start_index, start_tuples) = match &slot.ckpt {
+            Some(k) => (&k.spec, Some(&k.snapshot), k.covered, k.tuples),
+            None => (&slot.spawn_spec, None, 0, 0),
+        };
+        let mut engine = AdaptiveEngine::restore(
+            self.catalog.clone(),
+            spec,
+            self.config.strategy.core_strategy(),
+            snapshot,
+        )?;
         if let Some(spill_cfg) = self.config.shard_spill(s) {
             engine.enable_spill(spill_cfg)?;
         }
-        if self.durable[s].is_none() {
-            if let Some(dir) = self.config.shard_durable(s) {
-                self.durable[s] = Some(DurableCheckpointStore::open(dir)?);
-            }
-        }
         let (tx, rx) = chan::bounded::<ShardMsg>(self.config.queue_capacity.max(1));
+        // Fresh registry: a dead incarnation's un-checkpointed telemetry is
+        // discarded with it, exactly like its output — replay regenerates
+        // both on the new incarnation.
+        slot.registry = Registry::new();
         let ctx = WorkerCtx {
             shard: s,
-            start_index: 0,
-            start_tuples: 0,
-            spec: self.current_spec.clone(),
+            start_index,
+            start_tuples,
+            spec: spec.clone(),
             injector: Arc::clone(&self.injector),
             ctrl: self.ctrl_tx.clone(),
-            telemetry: WorkerTelemetry::new(self.registries[s].clone(), self.flight.clone()),
+            telemetry: WorkerTelemetry::new(slot.registry.clone(), self.flight.clone()),
         };
         let handle = std::thread::Builder::new()
             .name(format!("jisc-shard-{s}"))
             .spawn(move || worker_loop(engine, rx, ctx))
             .expect("spawn shard thread");
-        self.txs[s] = Some(tx);
-        self.workers[s] = Some(handle);
+        slot.tx = Some(tx);
+        slot.worker = Some(handle);
         Ok(())
+    }
+
+    /// Ids of the slots whose queue is open (live shards, ascending).
+    fn open_slots(&self) -> Vec<usize> {
+        (0..self.slots.len())
+            .filter(|&s| self.slots[s].tx.is_some())
+            .collect()
     }
 
     /// Close a shard's queue and collect its final output. Its replay
     /// buffer and checkpoint are kept (a fault racing the close still
     /// recovers through the normal path); its id is never routed again.
     fn retire(&mut self, s: usize) {
-        self.txs[s] = None;
+        self.slots[s].tx = None;
         self.reap(s);
     }
 
@@ -1484,21 +1448,19 @@ impl ShardedExecutor {
         // Final punctuation: drain any residual operator queues before the
         // workers snapshot their results. Retired shards were already
         // drained and collected when their ranges moved away.
-        for s in 0..self.txs.len() {
-            if self.txs[s].is_some() {
-                self.send_event(s, Event::Flush)?;
-            }
+        for s in self.open_slots() {
+            self.send_event(s, Event::Flush)?;
         }
-        let n = self.txs.len();
+        let n = self.slots.len();
         let mut results = Vec::with_capacity(n);
         for s in 0..n {
             let result = loop {
-                if let Some(r) = self.finished[s].take() {
+                if let Some(r) = self.slots[s].finished.take() {
                     break r;
                 }
-                self.txs[s] = None; // close this shard's queue
+                self.slots[s].tx = None; // close this shard's queue
                 self.reap(s);
-                match self.finished[s].take() {
+                match self.slots[s].finished.take() {
                     Some(r) => break r,
                     None => {
                         // Faulted on the final events: recover and retry.
@@ -1548,9 +1510,10 @@ impl ShardedExecutor {
             )));
         }
         let output = OutputSink::merged(sinks);
+        let per_slot = |f: fn(&Slot) -> u64| self.slots.iter().map(f).collect::<Vec<u64>>();
         Ok(ShardedReport {
             events: self.events,
-            shard_events: self.shard_events.clone(),
+            shard_events: per_slot(|slot| slot.events),
             outputs: output.count() as u64,
             transitions: self.transitions,
             exactness: self.exactness,
@@ -1564,9 +1527,9 @@ impl ShardedExecutor {
             recovery_wall: self.recovery_wall,
             checkpoints: self.checkpoints,
             shed_tuples: self.shed_tuples,
-            shed_by_shard: self.shed_by_shard.clone(),
+            shed_by_shard: per_slot(|slot| slot.shed),
             send_timeouts: self.send_timeouts,
-            peak_queue_depth: self.peak_queue.clone(),
+            peak_queue_depth: per_slot(|slot| slot.peak_queue),
             probes_by_shard,
             rescales: self.rescales,
             partition_epoch: self.pmap.epoch(),
@@ -1574,7 +1537,7 @@ impl ShardedExecutor {
             dropped_late,
             late_admitted,
             watermark: self.watermark,
-            watermarks_by_shard: self.shard_watermarks.clone(),
+            watermarks_by_shard: per_slot(|slot| slot.watermark),
             latency,
             latency_by_phase,
             telemetry,
@@ -1585,10 +1548,10 @@ impl ShardedExecutor {
 
     fn flush(&mut self, s: usize) -> Result<()> {
         self.poll_ctrl();
-        if self.batches[s].is_empty() {
+        if self.slots[s].batch.is_empty() {
             return Ok(());
         }
-        let mut batch = std::mem::replace(&mut self.batches[s], ColumnarBatch::new(BATCH));
+        let mut batch = std::mem::replace(&mut self.slots[s].batch, ColumnarBatch::new(BATCH));
         let len = batch.len() as u64;
         // One ingest stamp covers the whole batch: its rows were staged
         // at most `BATCH` pushes ago, and the queue wait the latency
@@ -1598,12 +1561,13 @@ impl ShardedExecutor {
         let origin_ns = self.flight.origin().elapsed().as_nanos() as u64;
         batch.stamp_telemetry(origin_ns, self.current_phase);
         self.send_event(s, Event::Columnar(batch))?;
+        let slot = &mut self.slots[s];
         if self.config.checkpoint_every > 0 {
-            self.since_ckpt[s] += len;
-            if self.since_ckpt[s] >= self.config.checkpoint_every {
-                self.since_ckpt[s] = 0;
+            slot.since_ckpt += len;
+            if slot.since_ckpt >= self.config.checkpoint_every {
+                slot.since_ckpt = 0;
                 // In-band mark; not part of the positional event clock.
-                if let Some(tx) = &self.txs[s] {
+                if let Some(tx) = &slot.tx {
                     let _ = tx.send(ShardMsg::Checkpoint);
                 }
             }
@@ -1612,7 +1576,7 @@ impl ShardedExecutor {
     }
 
     fn flush_all(&mut self) -> Result<()> {
-        for s in 0..self.batches.len() {
+        for s in 0..self.slots.len() {
             self.flush(s)?;
         }
         Ok(())
@@ -1634,7 +1598,7 @@ impl ShardedExecutor {
     fn send_replayable(&mut self, s: usize, rev: ReplayEvent) -> Result<()> {
         loop {
             let outcome = {
-                let Some(tx) = &self.txs[s] else {
+                let Some(tx) = &self.slots[s].tx else {
                     return Err(JiscError::Internal("shard queue closed".into()));
                 };
                 if !rev.sheddable() {
@@ -1669,18 +1633,19 @@ impl ShardedExecutor {
             };
             match outcome {
                 SendOutcome::Sent => {
-                    self.sent[s] += 1;
-                    if let Some(tx) = &self.txs[s] {
+                    let slot = &mut self.slots[s];
+                    slot.sent += 1;
+                    if let Some(tx) = &slot.tx {
                         // Sample the post-send depth (lower bound on peak).
-                        self.peak_queue[s] = self.peak_queue[s].max(tx.len() as u64);
+                        slot.peak_queue = slot.peak_queue.max(tx.len() as u64);
                     }
-                    self.replay[s].push_back(rev);
+                    slot.replay.push_back(rev);
                     return Ok(());
                 }
                 SendOutcome::Shed(tuples) => {
                     // Never sent: not in the positional clock, not replayed.
                     self.shed_tuples += tuples;
-                    self.shed_by_shard[s] += tuples;
+                    self.slots[s].shed += tuples;
                     self.flight.record(FlightEventKind::OverloadShed {
                         shard: s as u64,
                         tuples,
@@ -1725,10 +1690,11 @@ impl ShardedExecutor {
 
     fn apply_checkpoint(&mut self, c: CheckpointData) {
         let s = c.shard;
+        let slot = &mut self.slots[s];
         // Load signal first: valid even when the snapshot is declined.
         // `max` keeps it monotone across respawned incarnations (a
         // restored engine's counters restart below the true cumulative).
-        self.probes_by_shard[s] = self.probes_by_shard[s].max(c.probes);
+        slot.probes = slot.probes.max(c.probes);
         let (Some(snapshot), Some(output)) = (c.snapshot, c.output) else {
             // The engine declined to snapshot (e.g. mid-migration Parallel
             // Track); the previous checkpoint stays authoritative.
@@ -1743,7 +1709,7 @@ impl ShardedExecutor {
         // segment store before the in-memory record takes over. `covered`
         // is the seq tag `recover_latest` hands back; pruning keeps the
         // newest two snapshots so disk stays bounded.
-        if let Some(store) = self.durable.get_mut(s).and_then(|d| d.as_mut()) {
+        if let Some(store) = slot.durable.as_mut() {
             if let Err(e) = store
                 .persist(&snapshot, c.covered)
                 .and_then(|_| store.prune(2))
@@ -1753,11 +1719,11 @@ impl ShardedExecutor {
         }
         // Prune the replay buffer: events the checkpoint now covers can
         // never need replaying again.
-        let old_covered = self.ckpt[s].as_ref().map_or(0, |k| k.covered);
+        let old_covered = slot.ckpt.as_ref().map_or(0, |k| k.covered);
         for _ in old_covered..c.covered {
-            self.replay[s].pop_front();
+            slot.replay.pop_front();
         }
-        self.ckpt[s] = Some(ShardCheckpoint {
+        slot.ckpt = Some(ShardCheckpoint {
             spec: c.spec,
             snapshot,
             covered: c.covered,
@@ -1770,18 +1736,13 @@ impl ShardedExecutor {
     /// a clean result (stashed in `finished`), or fault messages on the
     /// control channel.
     fn reap(&mut self, s: usize) {
-        loop {
-            match &self.workers[s] {
-                Some(h) if !h.is_finished() => {
-                    self.poll_ctrl();
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                _ => break,
-            }
+        while !self.slots[s].is_down() {
+            self.poll_ctrl();
+            std::thread::sleep(Duration::from_millis(1));
         }
-        if let Some(h) = self.workers[s].take() {
+        if let Some(h) = self.slots[s].worker.take() {
             match h.join() {
-                Ok(Some(result)) => self.finished[s] = Some(result),
+                Ok(Some(result)) => self.slots[s].finished = Some(result),
                 Ok(None) => {} // fault arrives via the control channel
                 Err(payload) => {
                     // Unwind escaped the supervised loop (should not
@@ -1813,9 +1774,9 @@ impl ShardedExecutor {
             if let Ok(path) = std::env::var("JISC_FLIGHT_DUMP") {
                 self.flight.dump_to(std::path::Path::new(&path));
             }
-            self.recoveries_by_shard[s] += 1;
+            self.slots[s].recoveries += 1;
             self.recoveries += 1;
-            if self.recoveries_by_shard[s] > self.config.max_recoveries as u64 {
+            if self.slots[s].recoveries > self.config.max_recoveries as u64 {
                 let payload = self
                     .faults
                     .iter()
@@ -1829,64 +1790,32 @@ impl ShardedExecutor {
             // Quiesce survivors at a barrier point: in-band Flush
             // punctuation drains their operator queues so the recovered
             // run resumes from a consistent, quiescent frontier.
-            for o in 0..self.txs.len() {
+            for (o, slot) in self.slots.iter_mut().enumerate() {
                 if o == s {
                     continue;
                 }
-                let Some(tx) = &self.txs[o] else { continue };
+                let Some(tx) = &slot.tx else { continue };
                 if tx.send(ShardMsg::Event(Event::Flush)).is_ok() {
-                    self.sent[o] += 1;
-                    self.replay[o].push_back(ReplayEvent::Event(Event::Flush));
+                    slot.sent += 1;
+                    slot.replay.push_back(ReplayEvent::Event(Event::Flush));
                 }
                 // A dead survivor is recovered by its own next send.
             }
             // Rebuild the engine from the checkpoint (fresh + full replay
             // when no checkpoint has completed yet).
-            let ck = self.ckpt[s].clone();
-            let (spec, start_index, start_tuples) = match &ck {
-                Some(k) => (k.spec.clone(), k.covered, k.tuples),
-                None => (self.spawn_spec[s].clone(), 0, 0),
-            };
-            let mut engine = ShardEngine::restore(
-                &self.catalog,
-                &spec,
-                self.config.strategy,
-                ck.as_ref().map(|k| &k.snapshot),
-            )?;
-            if let Some(spill_cfg) = self.config.shard_spill(s) {
-                engine.enable_spill(spill_cfg)?;
-            }
-            let (tx, rx) = chan::bounded::<ShardMsg>(self.config.queue_capacity.max(1));
-            // Fresh registry: the dead incarnation's un-checkpointed
-            // telemetry is discarded with it, exactly like its output —
-            // replay regenerates both on the new incarnation.
-            self.registries[s] = Registry::new();
-            let ctx = WorkerCtx {
-                shard: s,
-                start_index,
-                start_tuples,
-                spec,
-                injector: Arc::clone(&self.injector),
-                ctrl: self.ctrl_tx.clone(),
-                telemetry: WorkerTelemetry::new(self.registries[s].clone(), self.flight.clone()),
-            };
-            let handle = std::thread::Builder::new()
-                .name(format!("jisc-shard-{s}"))
-                .spawn(move || worker_loop(engine, rx, ctx))
-                .expect("spawn shard thread");
-            self.txs[s] = Some(tx);
-            self.workers[s] = Some(handle);
+            self.start_worker(s)?;
             // Replay the post-checkpoint suffix; the failed incarnation's
             // un-checkpointed output died with it, so these events emit
             // their results exactly once.
-            let suffix: Vec<ReplayEvent> = self.replay[s].iter().cloned().collect();
+            let slot = &self.slots[s];
             let mut replay_ok = true;
             let mut replayed_here = 0u64;
-            for rev in suffix {
+            for rev in &slot.replay {
                 self.replayed_events += 1;
                 self.replayed_tuples += rev.tuple_count();
                 replayed_here += 1;
-                let sent = self.txs[s]
+                let sent = slot
+                    .tx
                     .as_ref()
                     .is_some_and(|tx| tx.send(rev.to_msg()).is_ok());
                 if !sent {
@@ -1912,11 +1841,11 @@ impl ShardedExecutor {
 impl Drop for ShardedExecutor {
     fn drop(&mut self) {
         // Close queues so workers exit even if `finish` was never called.
-        for tx in &mut self.txs {
-            *tx = None;
+        for slot in &mut self.slots {
+            slot.tx = None;
         }
-        for w in self.workers.iter_mut() {
-            if let Some(h) = w.take() {
+        for slot in &mut self.slots {
+            if let Some(h) = slot.worker.take() {
                 let _ = h.join();
             }
         }
@@ -1948,6 +1877,15 @@ mod tests {
         pipe
     }
 
+    /// `shards` JISC workers with `queue_capacity`, default supervision.
+    fn config(shards: usize, queue_capacity: usize) -> ShardedConfig {
+        ShardedConfig {
+            shards,
+            queue_capacity,
+            ..ShardedConfig::default()
+        }
+    }
+
     fn arrivals(n: u64, streams: u16, keys: u64) -> Vec<(u16, Key, u64)> {
         (0..n)
             .map(|i| ((i % streams as u64) as u16, (i * 7 + 3) % keys, i))
@@ -1960,12 +1898,10 @@ mod tests {
         let events = arrivals(600, 3, 17);
         let serial = serial_run(timed_catalog(&["R", "S", "T"], 40), &spec, &events);
         for n in [1, 2, 4] {
-            let mut exec = ShardedExecutor::spawn(
+            let mut exec = ShardedExecutor::spawn_with(
                 timed_catalog(&["R", "S", "T"], 40),
                 &spec,
-                ShardSemantics::Jisc,
-                n,
-                64,
+                config(n, 64),
             )
             .unwrap();
             assert_eq!(exec.shards(), n);
@@ -1988,14 +1924,9 @@ mod tests {
         let spec = PlanSpec::left_deep(&["R", "S"], JoinStyle::Hash);
         let events = arrivals(400, 2, 9);
         let run = |n| {
-            let mut exec = ShardedExecutor::spawn(
-                timed_catalog(&["R", "S"], 30),
-                &spec,
-                ShardSemantics::Jisc,
-                n,
-                32,
-            )
-            .unwrap();
+            let mut exec =
+                ShardedExecutor::spawn_with(timed_catalog(&["R", "S"], 30), &spec, config(n, 32))
+                    .unwrap();
             for &(s, k, p) in &events {
                 exec.push(StreamId(s), k, p).unwrap();
             }
@@ -2026,12 +1957,10 @@ mod tests {
             serial.push_with(&mut sem, StreamId(s), k, p).unwrap();
         }
         for n in [1, 2, 4] {
-            let mut exec = ShardedExecutor::spawn(
+            let mut exec = ShardedExecutor::spawn_with(
                 timed_catalog(&["R", "S", "T"], 60),
                 &spec,
-                ShardSemantics::Jisc,
-                n,
-                64,
+                config(n, 64),
             )
             .unwrap();
             for &(s, k, p) in &events[..250] {
@@ -2059,7 +1988,15 @@ mod tests {
     fn theta_plans_fall_back_to_serial() {
         let catalog = timed_catalog(&["R", "S"], 50);
         let spec = PlanSpec::left_deep(&["R", "S"], JoinStyle::Nlj(Predicate::BandWithin(2)));
-        let exec = ShardedExecutor::spawn(catalog, &spec, ShardSemantics::Default, 4, 32).unwrap();
+        let exec = ShardedExecutor::spawn_with(
+            catalog,
+            &spec,
+            ShardedConfig {
+                strategy: ShardStrategy::Pipelined,
+                ..config(4, 32)
+            },
+        )
+        .unwrap();
         assert_eq!(exec.shards(), 1, "band joins are not key-partitionable");
         let report = exec.finish().unwrap();
         assert_eq!(report.events, 0);
@@ -2069,7 +2006,7 @@ mod tests {
     fn count_windows_report_inexact() {
         let catalog = Catalog::uniform(&["R", "S"], 10).unwrap();
         let spec = PlanSpec::left_deep(&["R", "S"], JoinStyle::Hash);
-        let exec = ShardedExecutor::spawn(catalog, &spec, ShardSemantics::Jisc, 4, 32).unwrap();
+        let exec = ShardedExecutor::spawn_with(catalog, &spec, config(4, 32)).unwrap();
         assert_eq!(exec.shards(), 4);
         assert_eq!(
             exec.exactness(),
@@ -2093,7 +2030,7 @@ mod tests {
         // tests and experiments can still deliberately oversubscribe.
         let catalog = Catalog::uniform(&["R", "S"], 10).unwrap();
         let spec = PlanSpec::left_deep(&["R", "S"], JoinStyle::Hash);
-        let exec = ShardedExecutor::spawn(catalog, &spec, ShardSemantics::Jisc, 3, 32).unwrap();
+        let exec = ShardedExecutor::spawn_with(catalog, &spec, config(3, 32)).unwrap();
         assert_eq!(exec.shards(), 3);
     }
 
@@ -2101,8 +2038,15 @@ mod tests {
     fn default_semantics_rejects_transitions() {
         let catalog = timed_catalog(&["R", "S"], 50);
         let spec = PlanSpec::left_deep(&["R", "S"], JoinStyle::Hash);
-        let mut exec =
-            ShardedExecutor::spawn(catalog, &spec, ShardSemantics::Default, 2, 32).unwrap();
+        let mut exec = ShardedExecutor::spawn_with(
+            catalog,
+            &spec,
+            ShardedConfig {
+                strategy: ShardStrategy::Pipelined,
+                ..config(2, 32)
+            },
+        )
+        .unwrap();
         let swapped = PlanSpec::left_deep(&["S", "R"], JoinStyle::Hash);
         assert!(exec.transition(&swapped).is_err());
         exec.finish().unwrap();
@@ -2115,12 +2059,10 @@ mod tests {
         events: &[(u16, Key, u64)],
         shards: usize,
     ) -> ShardedReport {
-        let mut exec = ShardedExecutor::spawn(
+        let mut exec = ShardedExecutor::spawn_with(
             timed_catalog(&["R", "S", "T"], 40),
             spec,
-            ShardSemantics::Jisc,
-            shards,
-            64,
+            config(shards, 64),
         )
         .unwrap();
         for &(s, k, p) in events {
@@ -2357,14 +2299,9 @@ mod tests {
         let spec = PlanSpec::left_deep(&["R", "S", "T"], JoinStyle::Hash);
         let events = arrivals(600, 3, 17);
         let serial = serial_run(timed_catalog(&["R", "S", "T"], 40), &spec, &events);
-        let mut exec = ShardedExecutor::spawn(
-            timed_catalog(&["R", "S", "T"], 40),
-            &spec,
-            ShardSemantics::Jisc,
-            2,
-            64,
-        )
-        .unwrap();
+        let mut exec =
+            ShardedExecutor::spawn_with(timed_catalog(&["R", "S", "T"], 40), &spec, config(2, 64))
+                .unwrap();
         for &(s, k, p) in &events[..300] {
             exec.push(StreamId(s), k, p).unwrap();
         }
@@ -2578,14 +2515,9 @@ mod tests {
         for &(s, k, p) in &events[200..] {
             serial.push_with(&mut sem, StreamId(s), k, p).unwrap();
         }
-        let mut exec = ShardedExecutor::spawn(
-            timed_catalog(&["R", "S", "T"], 60),
-            &spec,
-            ShardSemantics::Jisc,
-            2,
-            64,
-        )
-        .unwrap();
+        let mut exec =
+            ShardedExecutor::spawn_with(timed_catalog(&["R", "S", "T"], 60), &spec, config(2, 64))
+                .unwrap();
         for &(s, k, p) in &events[..200] {
             exec.push(StreamId(s), k, p).unwrap();
         }
@@ -2613,19 +2545,14 @@ mod tests {
         // Count windows: per-shard quotas make a handover unsound.
         let catalog = Catalog::uniform(&["R", "S"], 10).unwrap();
         let spec = PlanSpec::left_deep(&["R", "S"], JoinStyle::Hash);
-        let mut exec = ShardedExecutor::spawn(catalog, &spec, ShardSemantics::Jisc, 2, 32).unwrap();
+        let mut exec = ShardedExecutor::spawn_with(catalog, &spec, config(2, 32)).unwrap();
         assert!(exec.split_hot_key(3).is_err());
         exec.finish().unwrap();
 
         // Epoch discipline: a stale or skipping epoch is rejected.
-        let mut exec = ShardedExecutor::spawn(
-            timed_catalog(&["R", "S"], 50),
-            &spec,
-            ShardSemantics::Jisc,
-            2,
-            32,
-        )
-        .unwrap();
+        let mut exec =
+            ShardedExecutor::spawn_with(timed_catalog(&["R", "S"], 50), &spec, config(2, 32))
+                .unwrap();
         let same_epoch = PartitionMap::uniform(2);
         assert!(exec.apply_map(same_epoch).is_err(), "epoch must advance");
         let (skipped, _) = exec.partition_map().split_key(1, None).0.split_key(2, None);
@@ -2986,6 +2913,55 @@ mod tests {
             resumed,
             full.output.lineage_multiset(),
             "restart output must compose lineage-exactly with the prefix"
+        );
+    }
+
+    #[test]
+    fn crash_after_durable_restart_keeps_recovered_state() {
+        // A restarted executor's shard faults before taking its first
+        // checkpoint: recovery must rebuild it from the durable snapshot
+        // it was restored from, not from an empty engine (which would
+        // silently lose every result joining pre-restart window state).
+        let spec = PlanSpec::left_deep(&["R", "S", "T"], JoinStyle::Hash);
+        let events = arrivals(900, 3, 17);
+        let scratch = jisc_engine::ScratchDir::new("shard-durable-crash");
+        let durable = |checkpoint_every, faults| ShardedConfig {
+            checkpoint_every,
+            faults,
+            durable_dir: Some(scratch.path().to_path_buf()),
+            ..config(1, 64)
+        };
+        let mut first = ShardedExecutor::spawn_with(
+            timed_catalog(&["R", "S", "T"], 40),
+            &spec,
+            durable(1, FaultPlan::new()),
+        )
+        .unwrap();
+        for &(s, k, p) in &events[..600] {
+            first.push(StreamId(s), k, p).unwrap();
+        }
+        let ra = first.finish().unwrap();
+        // No checkpoint lands before the fault at tuple 10.
+        let mut second = ShardedExecutor::spawn_with(
+            timed_catalog(&["R", "S", "T"], 40),
+            &spec,
+            durable(1024, FaultPlan::new().panic_at(0, 10)),
+        )
+        .unwrap();
+        for &(s, k, p) in &events[600..] {
+            second.push(StreamId(s), k, p).unwrap();
+        }
+        let rb = second.finish().unwrap();
+        assert_eq!(rb.recoveries, 1, "the scripted fault must fire");
+        let full = fault_free_reference(&spec, &events, 1);
+        let mut resumed = ra.output.lineage_multiset();
+        for (lineage, n) in rb.output.lineage_multiset() {
+            *resumed.entry(lineage).or_insert(0) += n;
+        }
+        assert_eq!(
+            resumed,
+            full.output.lineage_multiset(),
+            "recovery after a durable restart lost the restored state"
         );
     }
 

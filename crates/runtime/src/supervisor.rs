@@ -1,5 +1,10 @@
 //! Supervised shard workers: catch panics, checkpoint, report faults.
 //!
+//! Every shard worker drives one [`AdaptiveEngine`] running its
+//! [`ShardStrategy`]'s core strategy, so a shard applies events, migrates,
+//! checkpoints, restores and hands key ranges over through the same engine
+//! a serial caller uses.
+//!
 //! Every shard thread runs its event loop under `catch_unwind`. A panic (or
 //! an engine error) does not unwind into the runtime: the worker reports a
 //! structured [`WorkerFault`] on a dedicated control channel and exits,
@@ -21,12 +26,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use jisc_common::{Event, KeyRange, Metrics, Result, SeqNo, WorkerFault};
-use jisc_core::jisc::{apply_event, incomplete_state_count, JiscSemantics};
-use jisc_core::{rescale, AdaptiveEngine, RecoveryMode, Strategy};
-use jisc_engine::{
-    BaseRangeExport, BaseStateSnapshot, Catalog, DefaultSemantics, OutputSink, Pipeline, PlanSpec,
-};
+use jisc_common::{Event, KeyRange, Metrics, SeqNo, WorkerFault};
+use jisc_core::{AdaptiveEngine, Strategy};
+use jisc_engine::{BaseRangeExport, BaseStateSnapshot, OutputSink, PlanSpec};
 use jisc_telemetry::{FlightRecorder, Histogram, Registry};
 use serde::{Deserialize, Serialize};
 
@@ -52,15 +54,16 @@ pub enum ShardStrategy {
 }
 
 impl ShardStrategy {
-    /// The `jisc-core` strategy this maps to (`None` for plain pipelined,
-    /// which runs a bare pipeline).
-    pub fn core_strategy(self) -> Option<Strategy> {
+    /// The `jisc-core` strategy each shard engine runs. Plain pipelined
+    /// shards run the Moving State engine — plain semantics, eager restore
+    /// and install — which never sees a barrier because the router refuses
+    /// their transitions.
+    pub fn core_strategy(self) -> Strategy {
         match self {
-            ShardStrategy::Pipelined => None,
-            ShardStrategy::Jisc => Some(Strategy::Jisc),
-            ShardStrategy::MovingState => Some(Strategy::MovingState),
+            ShardStrategy::Pipelined | ShardStrategy::MovingState => Strategy::MovingState,
+            ShardStrategy::Jisc => Strategy::Jisc,
             ShardStrategy::ParallelTrack { check_period } => {
-                Some(Strategy::ParallelTrack { check_period })
+                Strategy::ParallelTrack { check_period }
             }
         }
     }
@@ -207,211 +210,35 @@ impl WorkerTelemetry {
     }
 }
 
-/// The engine a shard worker drives: a bare pipeline (plain pipelined) or
-/// an [`AdaptiveEngine`] (JISC / Moving State / Parallel Track).
-pub(crate) enum ShardEngine {
-    Plain(Box<Pipeline>),
-    Jisc(Box<Pipeline>, Box<JiscSemantics>),
-    Adaptive(Box<AdaptiveEngine>),
-}
-
-impl ShardEngine {
-    pub fn new(catalog: &Catalog, spec: &PlanSpec, strategy: ShardStrategy) -> Result<Self> {
-        Ok(match strategy {
-            ShardStrategy::Pipelined => {
-                ShardEngine::Plain(Box::new(Pipeline::new(catalog.clone(), spec)?))
-            }
-            ShardStrategy::Jisc => ShardEngine::Jisc(
-                Box::new(Pipeline::new(catalog.clone(), spec)?),
-                Box::default(),
-            ),
-            _ => ShardEngine::Adaptive(Box::new(AdaptiveEngine::new(
-                catalog.clone(),
-                spec,
-                strategy.core_strategy().expect("non-pipelined"),
-            )?)),
-        })
-    }
-
-    /// Rebuild a shard engine from a checkpoint (or fresh, with no
-    /// checkpoint): base state restored, derived states brought back per
-    /// strategy — just-in-time completion for JISC, eager rebuild otherwise.
-    pub fn restore(
-        catalog: &Catalog,
-        spec: &PlanSpec,
-        strategy: ShardStrategy,
-        snap: Option<&BaseStateSnapshot>,
-    ) -> Result<Self> {
-        Ok(match strategy {
-            ShardStrategy::Pipelined | ShardStrategy::Jisc => {
-                let mut pipe = Pipeline::new(catalog.clone(), spec)?;
-                let mode = if strategy == ShardStrategy::Jisc {
-                    RecoveryMode::JustInTime
-                } else {
-                    RecoveryMode::Eager
-                };
-                if let Some(snap) = snap {
-                    jisc_core::recovery::restore_pipeline(&mut pipe, snap, mode)?;
-                }
-                if strategy == ShardStrategy::Jisc {
-                    ShardEngine::Jisc(Box::new(pipe), Box::default())
-                } else {
-                    ShardEngine::Plain(Box::new(pipe))
-                }
-            }
-            _ => ShardEngine::Adaptive(Box::new(AdaptiveEngine::restore(
-                catalog.clone(),
-                spec,
-                strategy.core_strategy().expect("non-pipelined"),
-                snap,
-            )?)),
-        })
-    }
-
-    pub fn on_event(&mut self, ev: Event<PlanSpec>) -> Result<()> {
-        match self {
-            ShardEngine::Plain(pipe) => apply_event(pipe, &mut DefaultSemantics, ev),
-            ShardEngine::Jisc(pipe, sem) => apply_event(pipe, sem.as_mut(), ev),
-            ShardEngine::Adaptive(engine) => engine.on_event(ev),
+/// Mirrors the engine's cumulative counters — every [`Metrics`] field, the
+/// spill tier's gauges and the running pipeline's columnar kernel costs —
+/// into the incarnation's registry. `store` semantics: the engine holds the
+/// running totals, the registry exposes them. Called at checkpoint marks and
+/// clean exit, so the registry tracks the engine at every durable point
+/// without per-tuple overhead.
+fn sync_telemetry(engine: &AdaptiveEngine, registry: &Registry) {
+    engine
+        .metrics()
+        .for_each_named(|name, v| registry.counter(name).store(v));
+    if let Some(cold) = engine.spill_stats() {
+        // Tier occupancy gauges: hot is an estimate (entry-count ×
+        // per-entry cost model), cold is exact sealed-file bytes —
+        // together the soak's hot+cold byte accounting.
+        for (name, v) in [
+            ("spill_hot_bytes", engine.hot_bytes() as f64),
+            ("spill_cold_bytes", cold.disk_bytes as f64),
+            ("spill_cold_entries", cold.entries as f64),
+            ("spill_cold_segments", cold.segments as f64),
+        ] {
+            registry.gauge(name).set(v);
         }
     }
-
-    /// Extract the state slice for `ranges` (rescale source side). Plain
-    /// pipelines and JISC both extract the same base slice; the mode split
-    /// happens at install time.
-    pub fn extract_range(&mut self, ranges: &[KeyRange]) -> Result<BaseRangeExport> {
-        match self {
-            ShardEngine::Plain(pipe) | ShardEngine::Jisc(pipe, _) => {
-                rescale::extract_range(pipe, ranges)
-            }
-            ShardEngine::Adaptive(engine) => engine.extract_range(ranges),
-        }
-    }
-
-    /// Install a slice exported by another shard (rescale target side):
-    /// just-in-time completion debt under JISC, eager rebuild otherwise.
-    pub fn install_range(&mut self, export: &BaseRangeExport) -> Result<()> {
-        match self {
-            ShardEngine::Plain(pipe) => rescale::install_range(pipe, export, RecoveryMode::Eager),
-            ShardEngine::Jisc(pipe, _) => {
-                rescale::install_range(pipe, export, RecoveryMode::JustInTime)
-            }
-            ShardEngine::Adaptive(engine) => engine.install_range(export),
-        }
-    }
-
-    /// Attach a hot-memory budget with an on-disk cold tier to the
-    /// engine's hash states (see [`jisc_engine::SpillConfig`]). Called
-    /// once per incarnation, right after construction or restore.
-    pub fn enable_spill(&mut self, cfg: jisc_engine::SpillConfig) -> Result<()> {
-        match self {
-            ShardEngine::Plain(pipe) | ShardEngine::Jisc(pipe, _) => pipe.enable_spill(cfg),
-            ShardEngine::Adaptive(engine) => engine.enable_spill(cfg),
-        }
-    }
-
-    /// Cold-tier occupancy across this engine's states (`None` while
-    /// spill is not enabled).
-    pub fn spill_stats(&self) -> Option<jisc_engine::SpillStats> {
-        match self {
-            ShardEngine::Plain(pipe) | ShardEngine::Jisc(pipe, _) => pipe.spill_stats(),
-            ShardEngine::Adaptive(engine) => engine.spill_stats(),
-        }
-    }
-
-    /// Estimated hot-tier bytes across this engine's states.
-    pub fn hot_bytes(&self) -> usize {
-        match self {
-            ShardEngine::Plain(pipe) | ShardEngine::Jisc(pipe, _) => pipe.hot_bytes(),
-            ShardEngine::Adaptive(engine) => engine.hot_bytes(),
-        }
-    }
-
-    /// Cumulative state probes so far (per-shard load signal).
-    pub fn probe_count(&self) -> u64 {
-        match self {
-            ShardEngine::Plain(pipe) | ShardEngine::Jisc(pipe, _) => pipe.metrics.probes,
-            ShardEngine::Adaptive(engine) => engine.metrics().probes,
-        }
-    }
-
-    pub fn base_snapshot(&self) -> Option<BaseStateSnapshot> {
-        match self {
-            ShardEngine::Plain(pipe) | ShardEngine::Jisc(pipe, _) => pipe.snapshot_base_state(),
-            ShardEngine::Adaptive(engine) => engine.base_snapshot(),
-        }
-    }
-
-    pub fn take_output(&mut self) -> OutputSink {
-        match self {
-            ShardEngine::Plain(pipe) | ShardEngine::Jisc(pipe, _) => {
-                std::mem::take(&mut pipe.output)
-            }
-            ShardEngine::Adaptive(engine) => engine.take_output(),
-        }
-    }
-
-    /// Current cumulative execution counters (cloned).
-    pub fn metrics_snapshot(&self) -> Metrics {
-        match self {
-            ShardEngine::Plain(pipe) | ShardEngine::Jisc(pipe, _) => pipe.metrics.clone(),
-            ShardEngine::Adaptive(engine) => engine.metrics(),
-        }
-    }
-
-    /// Mirrors the engine's cumulative counters — every [`Metrics`]
-    /// field plus, on the pipeline engines, the columnar kernel costs —
-    /// into the incarnation's registry. `store` semantics: the engine
-    /// holds the running totals, the registry exposes them. Called at
-    /// checkpoint marks and clean exit, so the registry tracks the
-    /// engine at every durable point without per-tuple overhead.
-    pub fn sync_telemetry(&self, tel: &WorkerTelemetry) {
-        self.metrics_snapshot()
-            .for_each_named(|name, v| tel.registry.counter(name).store(v));
-        if let Some(cold) = self.spill_stats() {
-            // Tier occupancy gauges: hot is an estimate (entry-count ×
-            // per-entry cost model), cold is exact sealed-file bytes —
-            // together the soak's hot+cold byte accounting.
-            tel.registry
-                .gauge("spill_hot_bytes")
-                .set(self.hot_bytes() as f64);
-            tel.registry
-                .gauge("spill_cold_bytes")
-                .set(cold.disk_bytes as f64);
-            tel.registry
-                .gauge("spill_cold_entries")
-                .set(cold.entries as f64);
-            tel.registry
-                .gauge("spill_cold_segments")
-                .set(cold.segments as f64);
-        }
-        if let ShardEngine::Plain(pipe) | ShardEngine::Jisc(pipe, _) = self {
-            if pipe.kernels.any() {
-                pipe.kernels.for_each_named(|name, c| {
-                    tel.registry
-                        .counter(&format!("kernel_{name}_elements"))
-                        .store(c.elements);
-                    tel.registry
-                        .counter(&format!("kernel_{name}_nanos"))
-                        .store(c.nanos);
-                });
-            }
-        }
-    }
-
-    pub fn into_result(mut self) -> ShardResult {
-        let incomplete_states = match &self {
-            ShardEngine::Plain(pipe) | ShardEngine::Jisc(pipe, _) => incomplete_state_count(pipe),
-            ShardEngine::Adaptive(engine) => engine.incomplete_states(),
-        };
-        let metrics = self.metrics_snapshot();
-        ShardResult {
-            output: self.take_output(),
-            metrics,
-            incomplete_states,
-            dup_deliveries_dropped: 0,
-            reorders_healed: 0,
-        }
+    if let Some(pipe) = engine.pipeline().filter(|p| p.kernels.any()) {
+        pipe.kernels.for_each_named(|name, c| {
+            let counter = |unit: &str| registry.counter(&format!("kernel_{name}_{unit}"));
+            counter("elements").store(c.elements);
+            counter("nanos").store(c.nanos);
+        });
     }
 }
 
@@ -482,7 +309,7 @@ fn max_seq(ev: &Event<PlanSpec>) -> Option<SeqNo> {
 /// Apply one delivery to the engine under the guard. `Err(payload)` means
 /// the incarnation must die (the caller reports the fault).
 fn apply_delivery(
-    engine: &mut ShardEngine,
+    engine: &mut AdaptiveEngine,
     ctx: &mut WorkerCtx,
     guard: &mut DeliveryGuard,
     d: Delivery,
@@ -550,7 +377,7 @@ fn apply_delivery(
 }
 
 pub(crate) fn worker_loop(
-    mut engine: ShardEngine,
+    mut engine: AdaptiveEngine,
     rx: chan::Receiver<ShardMsg>,
     mut ctx: WorkerCtx,
 ) -> Option<ShardResult> {
@@ -595,7 +422,7 @@ pub(crate) fn worker_loop(
                 // Mirror the engine's counters at the durable point: if
                 // this incarnation later dies, its registry is replaced
                 // and these totals are what survives it.
-                engine.sync_telemetry(&ctx.telemetry);
+                sync_telemetry(&engine, &ctx.telemetry.registry);
                 let _ = ctx.ctrl.send(ToRouter::Checkpoint(CheckpointData {
                     shard: ctx.shard,
                     covered: index,
@@ -603,7 +430,7 @@ pub(crate) fn worker_loop(
                     spec: ctx.spec.clone(),
                     snapshot,
                     output,
-                    probes: engine.probe_count(),
+                    probes: engine.metrics().probes,
                 }));
                 continue;
             }
@@ -760,9 +587,12 @@ pub(crate) fn worker_loop(
     drain_held!();
     // Final mirror: the registry the router holds now equals this
     // incarnation's final counters exactly.
-    engine.sync_telemetry(&ctx.telemetry);
-    let mut result = engine.into_result();
-    result.dup_deliveries_dropped = guard.dup_dropped;
-    result.reorders_healed = guard.reorders_healed;
-    Some(result)
+    sync_telemetry(&engine, &ctx.telemetry.registry);
+    Some(ShardResult {
+        metrics: engine.metrics(),
+        incomplete_states: engine.incomplete_states(),
+        output: engine.take_output(),
+        dup_deliveries_dropped: guard.dup_dropped,
+        reorders_healed: guard.reorders_healed,
+    })
 }

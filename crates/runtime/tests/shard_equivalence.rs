@@ -11,7 +11,7 @@
 use jisc_common::{Lineage, StreamId};
 use jisc_core::jisc::{jisc_transition, JiscSemantics};
 use jisc_engine::{Catalog, JoinStyle, Pipeline, PlanSpec, StreamDef};
-use jisc_runtime::shard::{ShardSemantics, ShardedExecutor};
+use jisc_runtime::shard::{ShardedConfig, ShardedExecutor};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -106,14 +106,13 @@ proptest! {
     fn sharded_equals_serial(case in case_strategy()) {
         let expected = serial_lineages(&case);
         for n in [1usize, 2, 4] {
-            let mut exec = ShardedExecutor::spawn(
-                case.catalog(),
-                &case.plan(0),
-                ShardSemantics::Jisc,
-                n,
-                32,
-            )
-            .expect("spawn");
+            let config = ShardedConfig {
+                shards: n,
+                queue_capacity: 32,
+                ..ShardedConfig::default()
+            };
+            let mut exec = ShardedExecutor::spawn_with(case.catalog(), &case.plan(0), config)
+                .expect("spawn");
             prop_assert_eq!(exec.shards(), n);
             prop_assert!(exec.is_exact() || case.ticks.is_none());
             let mut rot = 0usize;

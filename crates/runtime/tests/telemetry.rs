@@ -91,15 +91,11 @@ fn registry_totals_match_engine_metrics_for_every_strategy() {
             "[{label}] latency histogram covers every tuple"
         );
         // The columnar data plane ran, so its kernel mirrors must be
-        // present and non-zero in the merged registry. The adaptive
-        // engines (MovingState, ParallelTrack) don't expose kernel
-        // counters, so the mirror is only pinned where it exists.
-        if matches!(strategy, ShardStrategy::Pipelined | ShardStrategy::Jisc) {
-            assert!(
-                report.telemetry.merged.counter("kernel_hash_elements") > 0,
-                "[{label}] kernel counters mirrored into the registry"
-            );
-        }
+        // present and non-zero in the merged registry.
+        assert!(
+            report.telemetry.merged.counter("kernel_hash_elements") > 0,
+            "[{label}] kernel counters mirrored into the registry"
+        );
     }
 }
 
